@@ -3,10 +3,12 @@
 Paper workload: MNIST rescaled to side lengths 12..28, N in 250..1000,
 closest l2 counterfactual via the Theorem 2 convex program (cvxpy in the
 paper, our active-set QP here).  Scaled grid: sides {8, 12, 16}, N in
-{50, 100, 150}.  Expected shape: roughly linear in N (one projection
-per opposite-class point for k = 1) with a mild dimension dependence —
-the same shape as the paper's Figure 6b, where this task is the cheaper
-of the two panels.
+{50, 100, 150}.  Expected shape: slow growth in N with a mild
+dimension dependence.  The best-first sweep bounds every piece in one
+vectorized pass and usually projects onto a single piece (one per
+opposite-class point exists for k = 1), so one LP and one projection
+over about N/2 constraints dominate — not the one convex program per
+piece behind the paper's Figure 6b.
 """
 
 from __future__ import annotations

@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 
 import numpy as np
@@ -296,8 +297,17 @@ def _build_serve_service(args):
     )
 
 
+def _interrupt(signum, frame) -> None:
+    """SIGTERM handler: unwind ``repro serve`` exactly as Ctrl-C does."""
+    raise KeyboardInterrupt
+
+
 def _cmd_serve(args) -> int:
-    """Run the explanation service until interrupted (``repro serve``)."""
+    """Run the explanation service until SIGINT or SIGTERM (``repro serve``).
+
+    Both signals run the same shutdown: the HTTP server stops and the
+    service closes, which reaps cluster and race workers.
+    """
     from .serve import serve_http
 
     service = _build_serve_service(args)
@@ -338,9 +348,11 @@ def _cmd_serve(args) -> int:
             f"-d '{{\"fingerprint\": \"{fingerprint}\", \"method\": \"classify\", "
             f"\"instance\": [{instance}], \"params\": {{\"k\": 3}}}}'"
         )
+    # Installed after every fork, so workers keep SIGTERM's default action.
+    signal.signal(signal.SIGTERM, _interrupt)
     try:
         server.serve_forever()
-    except KeyboardInterrupt:  # pragma: no cover - interactive path
+    except KeyboardInterrupt:  # pragma: no cover - runs in a subprocess
         print("\nshutting down")
     finally:
         server.shutdown()

@@ -16,6 +16,7 @@ the enumeration driving Proposition 3 and Theorem 2.
 from __future__ import annotations
 
 from itertools import combinations
+from math import comb
 from typing import Iterator
 
 import numpy as np
@@ -26,6 +27,52 @@ from .halfspace import bisector_halfspace
 from .polyhedron import Polyhedron
 
 
+def region_classes(dataset: Dataset, label: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(winning, losing, strict)`` for the region ``{x : f^k(x) = label}``.
+
+    The winning class is *label*'s (multiplicities expanded); pieces of
+    the label-0 region are open because ties favor class 1.
+    """
+    if label not in (0, 1):
+        raise ValueError(f"label must be 0 or 1, got {label}")
+    expanded = dataset.expanded()
+    if label == 1:
+        return expanded.positives, expanded.negatives, False
+    return expanded.negatives, expanded.positives, True
+
+
+def witness_sets(
+    n_win: int, n_lose: int, k: int
+) -> tuple[Iterator[tuple[int, ...]], list[tuple[int, ...]]]:
+    """Index sets ``(A, B)`` of the Proposition-1 witness pairs, in piece order.
+
+    Returns an iterator over the winning sets ``A`` (size ``(k+1)/2``)
+    and the list of losing sets ``B`` (size at most ``(k-1)/2``).  The
+    pieces are enumerated ``A``-major, so piece ``p`` pairs the
+    ``p // len(B)``-th set ``A`` with ``B[p % len(B)]``.  No ``A`` exists
+    when the winning class can never reach a majority.
+    """
+    need = (k + 1) // 2
+    slack = (k - 1) // 2
+    losing_sets = [
+        B for size in range(min(slack, n_lose) + 1) for B in combinations(range(n_lose), size)
+    ]
+    return combinations(range(n_win), need), losing_sets
+
+
+def region_piece(winning: np.ndarray, losing: np.ndarray, A, B, *, strict: bool) -> Polyhedron:
+    """The piece ``P(A, B)``: every point of ``A`` beats every losing point outside ``B``.
+
+    ``A`` and ``B`` index *winning* and *losing*; the bisector
+    constraints come ``A``-major, strict when *strict* is set.
+    """
+    keep = np.ones(losing.shape[0], dtype=bool)
+    keep[list(B)] = False
+    rest = losing[keep]
+    halfspaces = [bisector_halfspace(a, c, strict=strict) for a in winning[list(A)] for c in rest]
+    return Polyhedron(winning.shape[1], halfspaces)
+
+
 def decision_region_polyhedra(
     dataset: Dataset, k: int, label: int
 ) -> Iterator[Polyhedron]:
@@ -33,55 +80,20 @@ def decision_region_polyhedra(
 
     For ``label == 1`` the pieces are closed; for ``label == 0`` they are
     open (strict constraints), reflecting the optimistic tie-breaking.
-    Multiplicities are expanded first.
+    Multiplicities are expanded first.  Pieces come in the order of
+    :func:`witness_sets`.
     """
     check_odd_k(k)
-    if label not in (0, 1):
-        raise ValueError(f"label must be 0 or 1, got {label}")
-    expanded = dataset.expanded()
-    if label == 1:
-        winning, losing = expanded.positives, expanded.negatives
-        strict = False
-    else:
-        winning, losing = expanded.negatives, expanded.positives
-        strict = True
-    need = (k + 1) // 2
-    slack = (k - 1) // 2
-    n = dataset.dimension
-    n_win = winning.shape[0]
-    n_lose = losing.shape[0]
-    if n_win < need:
-        # The winning class can never reach a majority: empty region.
-        return
-    for A_idx in combinations(range(n_win), need):
-        A_pts = winning[list(A_idx)]
-        for b_size in range(min(slack, n_lose) + 1):
-            for B_idx in combinations(range(n_lose), b_size):
-                keep = np.ones(n_lose, dtype=bool)
-                keep[list(B_idx)] = False
-                rest = losing[keep]
-                halfspaces = [
-                    bisector_halfspace(a, c, strict=strict)
-                    for a in A_pts
-                    for c in rest
-                ]
-                yield Polyhedron(n, halfspaces)
+    winning, losing, strict = region_classes(dataset, label)
+    winning_sets, losing_sets = witness_sets(winning.shape[0], losing.shape[0], k)
+    for A in winning_sets:
+        for B in losing_sets:
+            yield region_piece(winning, losing, A, B, strict=strict)
 
 
 def count_region_polyhedra(dataset: Dataset, k: int, label: int) -> int:
     """Number of pieces :func:`decision_region_polyhedra` will yield."""
-    from math import comb
-
     check_odd_k(k)
-    expanded = dataset.expanded()
-    if label == 1:
-        n_win, n_lose = expanded.positives.shape[0], expanded.negatives.shape[0]
-    else:
-        n_win, n_lose = expanded.negatives.shape[0], expanded.positives.shape[0]
-    need = (k + 1) // 2
-    slack = (k - 1) // 2
-    if n_win < need:
-        return 0
-    return comb(n_win, need) * sum(
-        comb(n_lose, b) for b in range(min(slack, n_lose) + 1)
-    )
+    winning, losing, _ = region_classes(dataset, label)
+    _, losing_sets = witness_sets(winning.shape[0], losing.shape[0], k)
+    return comb(winning.shape[0], (k + 1) // 2) * len(losing_sets)

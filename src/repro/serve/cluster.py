@@ -129,13 +129,17 @@ def _worker_dispatch(service: ExplanationService, op: str, payload) -> object:
     raise SolverError(f"unknown worker op {op!r}")  # pragma: no cover
 
 
-def _worker_main(conn, config: dict) -> None:
+def _worker_main(conn, config: dict, front_ends=()) -> None:
     """Entry point of one worker process: serve ``(op, payload)`` messages.
 
     Builds a fresh :class:`ExplanationService` from *config* and answers
     every message with ``("ok", result)`` or ``("raise", (type, msg))``
     until a ``shutdown`` message (or a closed pipe) ends the loop.
+    *front_ends* are the front-side pipe ends a forked worker inherited;
+    they are closed first, so a dead front reads as EOF here.
     """
+    for end in front_ends:
+        end.close()
     service = ExplanationService(
         backend=config["backend"],
         cache_size=config["cache_size"],
@@ -180,13 +184,19 @@ class _Worker:
     :class:`~concurrent.futures.Future` objects.
     """
 
-    def __init__(self, index: int, config: dict, queue_depth: int, ctx):
+    def __init__(self, index: int, config: dict, queue_depth: int, ctx, siblings=()):
         self.index = index
         self.queue_depth = max(1, int(queue_depth))
         parent_conn, child_conn = ctx.Pipe()
+        # A forked child inherits the front's end of its own pipe and of
+        # every earlier sibling's; it closes them (spawned children don't
+        # inherit them).
+        front_ends = []
+        if ctx.get_start_method() == "fork":
+            front_ends = [parent_conn, *(sibling.conn for sibling in siblings)]
         self.process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, config),
+            args=(child_conn, config, front_ends),
             daemon=True,
             name=f"repro-serve-worker-{index}",
         )
@@ -388,7 +398,7 @@ class ClusterService:
                 "parallel_portfolio": bool(parallel_portfolio),
                 "race_workers": race_workers,
             }
-            self._workers.append(_Worker(index, config, self.queue_depth, ctx))
+            self._workers.append(_Worker(index, config, self.queue_depth, ctx, self._workers))
         # Every fork happened above, before any front thread exists; only
         # now is it safe to start the per-worker pump threads.
         for worker in self._workers:

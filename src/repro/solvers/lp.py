@@ -62,15 +62,19 @@ def solve_lp(
     returned for the caller to inspect).
     """
     c = np.asarray(c, dtype=np.float64)
-    res = linprog(
-        c,
+    problem = dict(
         A_ub=A_ub if A_ub is not None and len(A_ub) else None,
         b_ub=b_ub if b_ub is not None and len(b_ub) else None,
         A_eq=A_eq if A_eq is not None and len(A_eq) else None,
         b_eq=b_eq if b_eq is not None and len(b_eq) else None,
         bounds=bounds,
-        method="highs",
     )
+    res = linprog(c, **problem, method="highs")
+    if res.status == 4:
+        # HiGHS's simplex can stall on a feasible but badly conditioned
+        # LP ("model_status is Unknown"); its interior-point solver is
+        # the second opinion before giving up.
+        res = linprog(c, **problem, method="highs-ipm")
     status = _STATUS.get(res.status, "unknown")
     if status == "infeasible":
         if raise_on_infeasible:

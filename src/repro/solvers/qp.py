@@ -30,6 +30,10 @@ from .lp import solve_lp
 
 _TOL = 1e-9
 
+#: Primal feasibility every returned projection is verified to:
+#: ``A y <= b + FEASIBILITY_TOL`` with the rows of ``A`` scaled to unit norm.
+FEASIBILITY_TOL = 1e-6
+
 
 def _restricted_projection(x: np.ndarray, A_w: np.ndarray, b_w: np.ndarray) -> np.ndarray:
     """Projection of x onto the affine set ``A_w y = b_w`` (least-norm step)."""
@@ -143,7 +147,7 @@ def project_onto_polyhedron(
             f"active-set projection did not converge in {max_iter} iterations"
         )
 
-    _verify_kkt(x, y, A, b, tol=1e-6)
+    _verify_kkt(x, y, A, b, tol=FEASIBILITY_TOL)
     return y, float(np.dot(x - y, x - y))
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -95,7 +96,7 @@ def _run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any
     )
 
 
-def _worker_main(conn: Any, cancel_event: Any) -> None:
+def _worker_main(conn: Any, cancel_event: Any, parent_ends: Any = ()) -> None:
     """Race worker loop: receive a task, run its methods, report each.
 
     One message per attempt (``("attempt", task_id, method, status,
@@ -104,9 +105,16 @@ def _worker_main(conn: Any, cancel_event: Any) -> None:
     :mod:`repro._budget` once, cleared at the start of every task, and
     consulted before each method (and during stagger sleeps) so a race
     already decided skips the remaining methods instantly.
+    *parent_ends* are the parent-side pipe ends a forked worker
+    inherited; they are closed first, so a dead parent reads as EOF.
     """
     from .._budget import install_cancel_event
 
+    for end in parent_ends:
+        end.close()
+    # The hard-kill backstop needs SIGTERM's default action; a worker
+    # respawned by `repro serve` would inherit its interrupt handler.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     install_cancel_event(cancel_event)
     while True:
         try:
@@ -257,8 +265,13 @@ class ProcessRacer:
             try:
                 cancel = self._ctx.Event()
                 parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+                # A forked child inherits the parent's end of its own pipe
+                # and of every live sibling's; it closes them.
+                parent_ends = []
+                if self._ctx.get_start_method() == "fork":
+                    parent_ends = [parent_conn, *(w.conn for w in self._workers)]
                 process = self._ctx.Process(
-                    target=_worker_main, args=(child_conn, cancel), daemon=True
+                    target=_worker_main, args=(child_conn, cancel, parent_ends), daemon=True
                 )
                 process.start()
                 child_conn.close()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from repro.exceptions import InfeasibleError, UnboundedError
+from repro.geometry import decision_region_polyhedra
+from repro.knn import Dataset
 from repro.solvers.lp import feasible_point_strict, solve_lp
 from repro.solvers.qp import project_onto_polyhedron
 
@@ -82,6 +86,18 @@ class TestStrictFeasibility:
 
     def test_infeasible_weak_part(self):
         assert feasible_point_strict(A_ub=[[1.0], [-1.0]], b_ub=[0.0, -1.0]) is None
+
+    def test_numerical_status_retries_with_interior_point(self):
+        # HiGHS's default method ends this piece's max-epsilon LP with
+        # "model_status is Unknown" (status 4) although the strict system
+        # is feasible; the interior-point retry solves it.
+        rng = np.random.default_rng(12)
+        P, N = rng.normal(size=(12, 4)), rng.normal(size=(12, 4))
+        pieces = decision_region_polyhedra(Dataset(P, N), 3, 0)
+        closure = next(itertools.islice(pieces, 190, None)).closure()
+        point = feasible_point_strict(A_strict=closure.A, b_strict=closure.b)
+        assert point is not None
+        assert np.all(closure.A @ point < closure.b)
 
 
 def scipy_reference_projection(x, A, b):
