@@ -6,6 +6,14 @@ The paper's definitions take two subsets ``S+`` (positive examples) and
 point occurring several times — and then de-duplicated; :class:`Dataset`
 supports both styles so the reductions can be implemented exactly as in
 the paper.
+
+Datasets are immutable; :meth:`Dataset.with_added` /
+:meth:`Dataset.with_removed` return new ones through
+:func:`fold_batch`, the one per-class streaming fold both dataset kinds
+share.  It is the *reference* semantics of a mutation: the engines'
+:class:`~repro.knn.store.LabeledStore` applies the same rule in place,
+and the differential fuzz harness holds the store to this fold — which
+is why the two stay separate implementations.
 """
 
 from __future__ import annotations
@@ -20,6 +28,110 @@ from .._validation import (
     check_multiplicities,
 )
 from ..exceptions import DimensionMismatchError, ValidationError
+
+
+def bool_labels(labels, n_rows: int) -> np.ndarray:
+    """Coerce binary *labels* (0/1 or bool) to a bool vector of length *n_rows*."""
+    lab = np.asarray(labels).astype(bool).ravel()
+    if lab.shape[0] != n_rows:
+        raise ValidationError(f"labels has length {lab.shape[0]}, expected {n_rows}")
+    return lab
+
+
+def row_lookup(rows: np.ndarray) -> dict[bytes, int]:
+    """Map each row's float64 bytes to its index (last duplicate wins).
+
+    The ONE definition the functional fold and the engines' store
+    share: the tie rule is load-bearing for the engine ≡ fold parity
+    the fuzz harness pins.
+    """
+    return {np.ascontiguousarray(row).tobytes(): i for i, row in enumerate(rows)}
+
+
+def class_name(label) -> str:
+    """How validation messages name a class: a binary side or a label."""
+    if isinstance(label, bool):
+        return "the positives" if label else "the negatives"
+    return f"class {label}"
+
+
+def check_survivors(inhabited: int, *, binary: bool) -> None:
+    """Refuse a removal that leaves too few inhabited classes.
+
+    A binary dataset must keep one point; a multiclass one two labels.
+    """
+    if binary and inhabited < 1:
+        raise ValidationError("cannot remove the last point of a dataset")
+    if not binary and inhabited < 2:
+        raise ValidationError("a multiclass dataset needs at least two distinct labels")
+
+
+def check_batch(data, points, labels, multiplicities, coerce_labels):
+    """Validate one add/remove batch against *data*'s schema.
+
+    Returns the contiguous point matrix, the labels as *coerce_labels*
+    normalizes them and the multiplicity vector.
+    """
+    coerce = as_boolean_matrix if data.discrete else as_matrix
+    pts = coerce(points, name="points")
+    if pts.shape[0] == 0:
+        raise ValidationError("a mutation batch must contain at least one point")
+    if pts.shape[1] != data.dimension:
+        raise DimensionMismatchError(
+            f"points have dimension {pts.shape[1]}, dataset has {data.dimension}"
+        )
+    lab = coerce_labels(labels, pts.shape[0])
+    mult = check_multiplicities(multiplicities, pts.shape[0], name="multiplicities")
+    return np.ascontiguousarray(pts), lab, mult
+
+
+def fold_batch(blocks: dict, pts, labels, mult, *, remove: bool) -> dict:
+    """The canonical streaming fold, applied functionally per class.
+
+    *blocks* maps each label to its ``(rows, multiplicities)``; the
+    result maps every label — plus any new one an addition introduced —
+    to its new pair, inputs untouched.  Adding: a row already present in
+    its class gains multiplicity, a new row appends at the end of its
+    class.  Removing: each row must be present in its class with at
+    least the requested multiplicity; rows reaching zero are dropped,
+    later rows shifting down in order (an emptied class keeps an empty
+    pair).  Both dataset kinds fold through this one function, and it
+    stays apart from the engines' incremental store on purpose: it is
+    the reference the differential fuzz harness holds the store to.
+    """
+    out = {c: (rows, np.array(counts)) for c, (rows, counts) in blocks.items()}
+    state: dict = {}
+    for row, c, m in zip(pts, labels.tolist(), mult.tolist()):
+        if c not in state:
+            rows, counts = out.get(
+                c, (np.empty((0, pts.shape[1])), np.empty(0, dtype=np.int64))
+            )
+            state[c] = (row_lookup(rows), counts.tolist(), [rows])
+        lookup, counts, row_blocks = state[c]
+        key = row.tobytes()
+        idx = lookup.get(key)
+        if remove:
+            if idx is None:
+                raise ValidationError(
+                    f"cannot remove a point absent from {class_name(c)}: {row.tolist()}"
+                )
+            if counts[idx] < m:
+                raise ValidationError(
+                    f"cannot remove {m} cop(ies) of a point with "
+                    f"multiplicity {counts[idx]} in {class_name(c)}"
+                )
+            counts[idx] -= m
+        elif idx is None:
+            lookup[key] = len(counts)
+            counts.append(m)
+            row_blocks.append(row)
+        else:
+            counts[idx] += m
+    for c, (_, counts, row_blocks) in state.items():
+        rows = np.vstack(row_blocks) if len(row_blocks) > 1 else row_blocks[0]
+        counts = np.asarray(counts, dtype=np.int64)
+        out[c] = (rows[counts > 0], counts[counts > 0]) if remove else (rows, counts)
+    return out
 
 
 class Dataset:
@@ -77,11 +189,7 @@ class Dataset:
     def from_labeled(cls, points, labels, *, discrete: bool = False) -> "Dataset":
         """Build a dataset from a point matrix and a 0/1 (or bool) label array."""
         pts = as_matrix(points, name="points")
-        lab = np.asarray(labels).astype(bool).ravel()
-        if lab.shape[0] != pts.shape[0]:
-            raise ValidationError(
-                f"labels has length {lab.shape[0]}, expected {pts.shape[0]}"
-            )
+        lab = bool_labels(labels, pts.shape[0])
         return cls(pts[lab], pts[~lab], discrete=discrete)
 
     # -- basic accessors ----------------------------------------------
@@ -155,33 +263,6 @@ class Dataset:
 
     # -- functional mutation -------------------------------------------
 
-    def _check_mutation_batch(self, points, labels, multiplicities):
-        """Validate one add/remove batch against this dataset's schema."""
-        coerce = as_boolean_matrix if self.discrete else as_matrix
-        pts = coerce(points, name="points")
-        if pts.shape[0] == 0:
-            raise ValidationError("a mutation batch must contain at least one point")
-        if pts.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"points have dimension {pts.shape[1]}, dataset has {self.dimension}"
-            )
-        lab = np.asarray(labels).astype(bool).ravel()
-        if lab.shape[0] != pts.shape[0]:
-            raise ValidationError(
-                f"labels has length {lab.shape[0]}, expected {pts.shape[0]}"
-            )
-        mult = check_multiplicities(
-            multiplicities, pts.shape[0], name="multiplicities"
-        )
-        return np.ascontiguousarray(pts), lab, mult
-
-    @staticmethod
-    def _row_lookup(rows: np.ndarray) -> dict[bytes, int]:
-        """Map each row's float64 bytes to its index (last duplicate wins)."""
-        return {
-            np.ascontiguousarray(row).tobytes(): i for i, row in enumerate(rows)
-        }
-
     def with_added(self, points, labels, multiplicities=None) -> "Dataset":
         """A new dataset with the labeled *points* added.
 
@@ -194,38 +275,7 @@ class Dataset:
         preserving existing row order — row order is observable through
         tie-breaking, so it is part of the contract.
         """
-        pts, lab, mult = self._check_mutation_batch(points, labels, multiplicities)
-        sides = []
-        for flag, base, base_mult in (
-            (True, self._positives, self._pos_mult),
-            (False, self._negatives, self._neg_mult),
-        ):
-            lookup = self._row_lookup(base)
-            counts = base_mult.copy()
-            new_rows: list[np.ndarray] = []
-            new_counts: list[int] = []
-            for row, m in zip(pts[lab == flag], mult[lab == flag]):
-                key = row.tobytes()
-                if key in lookup:
-                    idx = lookup[key]
-                    if idx < counts.shape[0]:
-                        counts[idx] += m
-                    else:
-                        new_counts[idx - counts.shape[0]] += m
-                else:
-                    lookup[key] = counts.shape[0] + len(new_rows)
-                    new_rows.append(row)
-                    new_counts.append(int(m))
-            rows = np.vstack([base, new_rows]) if new_rows else base
-            sides.append((rows, np.concatenate([counts, np.asarray(new_counts, dtype=np.int64)])))
-        (pos, pos_mult), (neg, neg_mult) = sides
-        return Dataset(
-            pos,
-            neg,
-            positive_multiplicities=pos_mult,
-            negative_multiplicities=neg_mult,
-            discrete=self.discrete,
-        )
+        return self._refold(points, labels, multiplicities, remove=False)
 
     def with_removed(self, points, labels, multiplicities=None) -> "Dataset":
         """A new dataset with the labeled *points* removed.
@@ -237,37 +287,26 @@ class Dataset:
         order preserved.  Removing the last point of the whole dataset is
         rejected.
         """
-        pts, lab, mult = self._check_mutation_batch(points, labels, multiplicities)
-        sides = []
-        for flag, base, base_mult in (
-            (True, self._positives, self._pos_mult),
-            (False, self._negatives, self._neg_mult),
-        ):
-            lookup = self._row_lookup(base)
-            counts = base_mult.copy()
-            side = "positives" if flag else "negatives"
-            for row, m in zip(pts[lab == flag], mult[lab == flag]):
-                idx = lookup.get(row.tobytes())
-                if idx is None:
-                    raise ValidationError(
-                        f"cannot remove a point absent from the {side}: {row.tolist()}"
-                    )
-                if counts[idx] < m:
-                    raise ValidationError(
-                        f"cannot remove {int(m)} cop(ies) of a point with "
-                        f"multiplicity {int(counts[idx])} in the {side}"
-                    )
-                counts[idx] -= m
-            keep = counts > 0
-            sides.append((base[keep], counts[keep]))
-        (pos, pos_mult), (neg, neg_mult) = sides
-        if pos.shape[0] == 0 and neg.shape[0] == 0:
-            raise ValidationError("cannot remove the last point of a dataset")
+        return self._refold(points, labels, multiplicities, remove=True)
+
+    def _refold(self, points, labels, multiplicities, *, remove: bool) -> "Dataset":
+        """Apply :func:`fold_batch` to both sides (positives first)."""
+        pts, lab, mult = check_batch(self, points, labels, multiplicities, bool_labels)
+        sides = fold_batch(
+            {
+                True: (self._positives, self._pos_mult),
+                False: (self._negatives, self._neg_mult),
+            },
+            pts, lab, mult, remove=remove,
+        )
+        (pos, pos_mult), (neg, neg_mult) = sides[True], sides[False]
+        if remove:
+            check_survivors(int(pos.shape[0] > 0) + int(neg.shape[0] > 0), binary=True)
         return Dataset(
             pos,
             neg,
-            positive_multiplicities=pos_mult if pos.shape[0] else None,
-            negative_multiplicities=neg_mult if neg.shape[0] else None,
+            positive_multiplicities=pos_mult,
+            negative_multiplicities=neg_mult,
             discrete=self.discrete,
         )
 

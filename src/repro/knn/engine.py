@@ -8,9 +8,9 @@ labeled sets ``S+`` and ``S-``.  :class:`QueryEngine` owns a
 
 * **batched** — :meth:`powers_matrix`, :meth:`radii_batch`,
   :meth:`classify_batch` and :meth:`margins_batch` evaluate whole query
-  matrices through a pluggable *index backend* (see below), with no
-  Python-level per-row loop; query rows are processed in memory-capped
-  blocks, and :meth:`map_shards` fans row shards out to a process pool;
+  matrices through the selected *index backend*, with no Python-level
+  per-row loop; query rows are processed in memory-capped blocks, and
+  :meth:`map_shards` fans row shards out to a process pool;
 * **cached** — the single-point entry points (:meth:`powers`,
   :meth:`radii`, :meth:`classify`, :meth:`margin`, :meth:`neighbors`)
   share an LRU cache of per-query distance vectors plus a per-``(query,
@@ -19,62 +19,30 @@ labeled sets ``S+`` and ``S-``.  :class:`QueryEngine` owns a
   re-classify the same query point many times, never recompute a
   distance vector.
 
+The rows themselves live in a :class:`~repro.knn.store.LabeledStore`
+with the classes ``(True, False)`` — positives first, the order
+Proposition-1 ties and :meth:`neighbors` observe.  The store is the one
+implementation both engines share of the per-class row stores, the
+joint dense/bit-packed kernel layout, the per-class KD-trees and IVF
+indexes, backend selection (``backend=`` ``"auto"`` | ``"dense"`` |
+``"kdtree"`` | ``"bitpack"`` | ``"ivf"``, documented in
+:mod:`repro.knn.store`) and the mutation protocol.  This module keeps
+what is binary: the Proposition-1 radii and tie rules, the distance
+vote, sharding, and the caches.
+
 Streaming mutation (:meth:`add_points` / :meth:`remove_points`)
 ---------------------------------------------------------------
 
-Datasets are mutable all the way down: the engine maintains each class
-in amortized-doubling row stores (:class:`~repro.neighbors.brute.
-GrowableMatrix`), and every mutation is applied *incrementally* to the
-selected backend — the bit-packed index appends freshly packed words
-and tombstones removals, the KD-trees overlay deltas until a staleness
-threshold triggers a lazy rebuild, and the dense kernels simply read
-the updated stores.  The caches are invalidated *surgically*: cached
-distance vectors are extended (or shrunk) by exactly the rows that
-changed, and a cached ``(r+, r-)`` pair is evicted only when a touched
-row's power reaches inside the cached radius — a mutation outside a
-query's k-neighborhood leaves its cached answer untouched.  Each
-mutation bumps :attr:`version`; a mutated engine is bit-identical to an
-engine freshly built from :attr:`dataset` (the randomized differential
-harness in ``tests/test_fuzz_parity.py`` enforces this per backend).
-
-Index backends (``backend=`` — the :mod:`repro.neighbors` layer)
-----------------------------------------------------------------
-
-The paper's experimental section credits "a library for fast
-NN-classification such as FAISS" as key to performance; the engine's
-batch path is correspondingly backend-pluggable:
-
-``"dense"``
-    the metric's broadcast kernels (BLAS Gram expansions for l2 and
-    Hamming) — the default workhorse at the paper's dimensionalities;
-``"bitpack"``
-    :class:`~repro.neighbors.BitPackedHammingIndex`: packed-word
-    XOR/popcount Hamming distances, bit-identical to the dense kernel
-    on binary data and several times faster (FAISS's binary-index
-    technique);
-``"kdtree"``
-    per-class :class:`~repro.neighbors.LazyKDTree` branch-and-bound —
-    wins only at very low dimension over large datasets, where pruning
-    beats the O(|S|) scan;
-``"ivf"``
-    per-class :class:`~repro.neighbors.IVFIndex` — certified
-    inverted-file search (FAISS's IVF plan made exact by a
-    triangle-inequality certificate with a full-scan fallback); wins
-    at large point counts when the data is clustered, never wrong
-    anywhere (the ``million_point`` headline measures the win at 10^6
-    points);
-``"auto"``
-    bitpack for binary Hamming data, KD-tree for low-dimensional lp
-    over large datasets, dense otherwise (thresholds measured in
-    ``benchmarks/bench_ablation_nn_index.py``).  IVF is *not*
-    auto-selected: whether its certificate holds often enough to win
-    depends on cluster structure the auto rule cannot see cheaply, and
-    on unclustered data every query would pay the fallback scan.
-
-Every backend implements the same optimistic semantics; on
-integer-valued data the results are bit-identical across backends (the
-parity suite in ``tests/test_backends.py`` enforces this), so backend
-choice is purely a performance decision.
+The store applies a mutation incrementally to the selected backend and
+returns what changed; the caches are then reconciled *surgically*:
+cached distance vectors are extended (or shrunk) by exactly the rows
+that changed, and a cached ``(r+, r-)`` pair is evicted only when a
+touched row's power reaches inside the cached radius — a mutation
+outside a query's k-neighborhood leaves its cached answer untouched.
+Each mutation bumps :attr:`version`; a mutated engine is bit-identical
+to an engine freshly built from :attr:`dataset` (the randomized
+differential harness in ``tests/test_fuzz_parity.py`` enforces this
+per backend).
 
 The ``(r+, r-)`` radii implement the ball-inflation rule of
 Proposition 1: ``r+`` (``r-``) is the surrogate distance at which the
@@ -91,19 +59,15 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .._validation import as_matrix, as_vector, check_multiplicities, check_odd_k
 from ..exceptions import ValidationError
-from ..metrics import HammingMetric, LpMetric, Metric, default_metric_name, get_metric
-from ..metrics.hamming import is_binary
-from ..neighbors.brute import GrowableMatrix
+from ..metrics import Metric, default_metric_name, get_metric
 from .dataset import Dataset
+from .store import BACKENDS as BACKENDS  # re-exported: the CLI and tests import it here
+from .store import LabeledStore, StoreBacked
 
 #: cap on the number of float64 elements of a (block, dataset) surrogate
 #: matrix held at once while reducing radii for a batch of queries.
 _BLOCK_ELEMENTS = 1 << 22
-
-#: the engine's index strategies (see the module docstring).
-BACKENDS = ("auto", "dense", "kdtree", "bitpack", "ivf")
 
 #: batch methods :meth:`QueryEngine.map_shards` can fan out.
 _SHARD_METHODS = (
@@ -113,17 +77,6 @@ _SHARD_METHODS = (
     "powers_matrix",
     "distances_matrix",
 )
-
-#: KD-tree auto-rule thresholds: the per-query branch-and-bound (a
-#: Python-level traversal) only beats one vectorized O(|S|) kernel pass
-#: at very low dimension over large point sets (measured crossover:
-#: ~12k points at dimension 3; hopeless by dimension 8).
-_KDTREE_AUTO_MAX_DIM = 4
-_KDTREE_AUTO_MIN_POINTS = 16_384
-
-#: tombstone share of the bit-packed index's storage beyond which the
-#: engine compacts it (reclaiming both memory and kernel columns).
-_BITPACK_COMPACT_FRACTION = 0.5
 
 
 def _kth_smallest_with_multiplicity(
@@ -144,27 +97,40 @@ def _kth_smallest_with_multiplicity(
     return np.inf  # pragma: no cover - unreachable given the sum check
 
 
-def _kth_smallest_batch(
-    values: np.ndarray, multiplicities: np.ndarray, k: int, *, plain: bool
+def _top_need_batch(
+    values: np.ndarray, multiplicities: np.ndarray, need: int, *, plain: bool
 ) -> np.ndarray:
-    """Row-wise k-th smallest with multiplicities for a (q, m) matrix.
+    """Row-wise ``need`` smallest elements (with multiplicities), ascending.
 
-    *plain* marks the (common) multiplicity-free case, where a partial
-    sort suffices; otherwise a stable full sort plus a cumulative sum of
+    Returns a ``(q, need)`` matrix whose column ``j`` is the ``(j+1)``-th
+    order statistic of each row of *values* expanded per multiplicity,
+    ``+inf``-padded when fewer than ``need`` elements exist.  Its last
+    column is the Proposition-1 radius of one class; the multiclass
+    engine combines whole blocks into exact one-vs-rest radii.  *plain*
+    marks the (common) multiplicity-free case, where a partial sort
+    suffices; otherwise a stable full sort plus a cumulative sum of
     multiplicities reproduces :func:`_kth_smallest_with_multiplicity`
     exactly.  Works on integer-count matrices (the bitpack backend) as
     well as float64 surrogates.
     """
     q = values.shape[0]
-    if values.shape[1] == 0 or multiplicities.sum() < k:
-        return np.full(q, np.inf)
+    total = int(multiplicities.sum())
+    out = np.full((q, need), np.inf)
+    if values.shape[1] == 0 or total == 0:
+        return out
     if plain:
-        return np.partition(values, k - 1, axis=1)[:, k - 1]
+        take = min(need, values.shape[1])
+        part = np.partition(values, take - 1, axis=1)[:, :take]
+        out[:, :take] = np.sort(part, axis=1)
+        return out
     order = np.argsort(values, axis=1, kind="stable")
     running = np.cumsum(multiplicities[order], axis=1)
-    first = np.argmax(running >= k, axis=1)
-    picked = np.take_along_axis(order, first[:, None], axis=1)[:, 0]
-    return values[np.arange(q), picked]
+    sorted_vals = np.take_along_axis(values, order, axis=1)
+    rows = np.arange(q)
+    for j in range(1, min(need, total) + 1):
+        first = np.argmax(running >= j, axis=1)
+        out[:, j - 1] = sorted_vals[rows, first]
+    return out
 
 
 def _vote_weights(sel_powers: np.ndarray, metric) -> np.ndarray:
@@ -187,13 +153,65 @@ def _vote_weights(sel_powers: np.ndarray, metric) -> np.ndarray:
     return weights
 
 
+def _vote_tied(d: np.ndarray, sizes, k: int, vote: str, metric) -> np.ndarray:
+    """``(q, C)`` mask of the classes tied for the top vote of each row.
+
+    *d* holds multiplicity-expanded powers in canonical order — one
+    block of ``sizes[j]`` columns per class — so the stable sort breaks
+    selection ties among the k nearest by that order.  ``"uniform"``
+    counts the selected points per class, ``"distance"`` sums their
+    :func:`_vote_weights`.
+    """
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    order = np.argsort(d, axis=1, kind="stable")[:, :k]
+    selected = labels[order]
+    if vote == "uniform":
+        weights = np.ones(order.shape)
+    else:
+        weights = _vote_weights(np.take_along_axis(d, order, axis=1), metric)
+    scores = np.stack(
+        [(weights * (selected == j)).sum(axis=1) for j in range(len(sizes))], axis=1
+    )
+    return scores >= scores.max(axis=1)[:, None]
+
+
+def _vote_batch(store, pts: np.ndarray, k: int, vote: str, metric) -> np.ndarray:
+    """:func:`_vote_tied` for query rows, one joint kernel pass per block.
+
+    Every backend routes through the store's joint layout here (a tree
+    cannot enumerate the k nearest faster than one vectorized scan at
+    these scales); blocks are capped by the expanded point count.
+    """
+    sizes = [int(m.sum()) for m in store.mults]
+    tied = np.empty((pts.shape[0], len(sizes)), dtype=bool)
+    rows = max(1, _BLOCK_ELEMENTS // max(1, store.total))
+    for start in range(0, pts.shape[0], rows):
+        block = slice(start, start + rows)
+        d = np.hstack(
+            [
+                np.repeat(np.asarray(values, dtype=np.float64), mults, axis=1)
+                for values, mults in zip(store.class_blocks(pts[block]), store.mults)
+            ]
+        )
+        tied[block] = _vote_tied(d, sizes, k, vote, metric)
+    return tied
+
+
+def _signed_margins(r_own: np.ndarray, r_other: np.ndarray) -> np.ndarray:
+    """``r_other - r_own`` elementwise, ``0.0`` where both radii are infinite."""
+    with np.errstate(invalid="ignore"):
+        margins = r_other - r_own
+    margins[np.isinf(r_own) & np.isinf(r_other)] = 0.0
+    return margins
+
+
 def _shard_call(engine: "QueryEngine", method: str, shard: np.ndarray, k):
     """Module-level worker for :meth:`QueryEngine.map_shards` (picklable)."""
     fn = getattr(engine, method)
     return fn(shard, k) if k is not None else fn(shard)
 
 
-class QueryEngine:
+class QueryEngine(StoreBacked):
     """Vectorized, cached batch query primitives over ``(dataset, metric)``.
 
     Parameters
@@ -212,10 +230,10 @@ class QueryEngine:
         radii pairs) kept in the LRU caches (0 disables caching).
     backend:
         index strategy for the batch primitives: ``"auto"`` (default),
-        ``"dense"``, ``"kdtree"``, ``"bitpack"`` or ``"ivf"`` — see the
-        module docstring.  ``"bitpack"`` requires the Hamming metric
-        over strictly binary data; ``"kdtree"`` and ``"ivf"`` require
-        an lp or Hamming metric.
+        ``"dense"``, ``"kdtree"``, ``"bitpack"`` or ``"ivf"`` — see
+        :mod:`repro.knn.store`.  ``"bitpack"`` requires the Hamming
+        metric over strictly binary data; ``"kdtree"`` and ``"ivf"``
+        require an lp or Hamming metric.
     """
 
     def __init__(
@@ -231,23 +249,7 @@ class QueryEngine:
         if metric is None:
             metric = default_metric_name(dataset.discrete)
         self.metric: Metric = get_metric(metric)
-        self._dim = dataset.dimension
-        self._discrete = dataset.discrete
-        self._pos_store = GrowableMatrix(
-            np.ascontiguousarray(dataset.positives, dtype=np.float64)
-        )
-        self._neg_store = GrowableMatrix(
-            np.ascontiguousarray(dataset.negatives, dtype=np.float64)
-        )
-        self._pos_mult_store = GrowableMatrix(
-            np.asarray(dataset.positive_multiplicities, dtype=np.int64)
-        )
-        self._neg_mult_store = GrowableMatrix(
-            np.asarray(dataset.negative_multiplicities, dtype=np.int64)
-        )
-        self._refresh_views()
-        self._pos_lookup = self._build_lookup(self._pos)
-        self._neg_lookup = self._build_lookup(self._neg)
+        self._store = LabeledStore(dataset, self.metric, backend)
         self._cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         self._radii_cache: OrderedDict[tuple[bytes, int], tuple[float, float]] = (
             OrderedDict()
@@ -255,280 +257,8 @@ class QueryEngine:
         self._cache_size = max(0, int(cache_size))
         self._hits = 0
         self._misses = 0
-        self.version = 0
-        self._snapshot: Dataset | None = dataset
-        self._requested_backend = backend
-        self.backend = self._resolve_backend(backend)
-        # The dense batch kernels run over one *joint* matrix (one BLAS
-        # call beats two half-sized ones); rows live in append order and
-        # the per-class column maps recover the positives-first split —
-        # by plain slicing while the layout is still [S+|S-] contiguous,
-        # by a gather once mutations interleaved the classes.
-        self._dense_store = GrowableMatrix(np.vstack([self._pos, self._neg]))
-        m_pos = self._pos.shape[0]
-        self._dense_pos_cols = np.arange(m_pos, dtype=np.int64)
-        self._dense_neg_cols = np.arange(
-            m_pos, m_pos + self._neg.shape[0], dtype=np.int64
-        )
-        self._dense_plain = True
-        self._bit_index = None
-        self._bit_pos_cols = None
-        self._bit_neg_cols = None
-        self._bit_plain = True
-        self._pos_tree = None
-        self._neg_tree = None
-        self._pos_ivf = None
-        self._neg_ivf = None
-        self._build_index_layer()
-
-    # -- internal views ---------------------------------------------------
-
-    def _refresh_views(self) -> None:
-        """Re-derive the read-only class views after store mutation."""
-        self._pos = self._pos_store.view
-        self._neg = self._neg_store.view
-        self._pos_mult = self._pos_mult_store.view
-        self._neg_mult = self._neg_mult_store.view
-        self._pos_plain = bool(np.all(self._pos_mult == 1))
-        self._neg_plain = bool(np.all(self._neg_mult == 1))
-        self._total = int(self._pos_mult.sum() + self._neg_mult.sum())
-
-    #: row bytes → row index, last duplicate wins — the ONE definition
-    #: (Dataset's) both mutation implementations share, because the tie
-    #: rule is load-bearing for the engine ≡ functional-fold parity the
-    #: fuzz harness pins.
-    _build_lookup = staticmethod(Dataset._row_lookup)
-
-    @staticmethod
-    def _cols_plain(pos_cols: np.ndarray, neg_cols: np.ndarray, total: int) -> bool:
-        """Whether a joint layout is still the contiguous [S+|S-] split.
-
-        True iff the column maps tile ``0..total-1`` positives-first with
-        no dead slots — the case where the batch paths split the joint
-        kernel output with free slices instead of gathers.
-        """
-        m_pos = pos_cols.shape[0]
-        return (
-            m_pos + neg_cols.shape[0] == total
-            and bool(np.array_equal(pos_cols, np.arange(m_pos)))
-            and bool(np.array_equal(neg_cols, np.arange(m_pos, total)))
-        )
-
-    @property
-    def dataset(self) -> Dataset:
-        """The engine's current contents as an (immutable) Dataset.
-
-        The snapshot is materialized lazily after a mutation and cached
-        until the next one, so repeated access (and the identity check
-        in :func:`as_engine`) stays cheap between mutations.
-        """
-        if self._snapshot is None:
-            self._snapshot = Dataset(
-                np.array(self._pos),
-                np.array(self._neg),
-                positive_multiplicities=np.array(self._pos_mult),
-                negative_multiplicities=np.array(self._neg_mult),
-                discrete=self._discrete,
-            )
-        return self._snapshot
-
-    # -- backend selection ----------------------------------------------
-
-    def _data_is_binary(self) -> bool:
-        """Whether every current point is strictly 0/1."""
-        return is_binary(self._pos) and is_binary(self._neg)
-
-    def _resolve_backend(self, backend: str) -> str:
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {'|'.join(BACKENDS)}, got {backend!r}"
-            )
-        if backend == "bitpack":
-            from ..neighbors.bitpack import HAVE_BITWISE_COUNT
-
-            if not isinstance(self.metric, HammingMetric):
-                raise ValidationError(
-                    f"backend='bitpack' requires the Hamming metric, "
-                    f"got {self.metric.name!r}"
-                )
-            if not self._data_is_binary():
-                raise ValidationError(
-                    "backend='bitpack' requires strictly binary (0/1) data"
-                )
-            if not HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2 in CI
-                raise ValidationError(
-                    "backend='bitpack' requires numpy >= 2.0 (np.bitwise_count)"
-                )
-            return backend
-        if backend in ("kdtree", "ivf"):
-            if not isinstance(self.metric, (LpMetric, HammingMetric)):
-                raise ValidationError(
-                    f"backend={backend!r} requires an lp or Hamming metric, "
-                    f"got {self.metric.name!r}"
-                )
-            return backend
-        if backend == "auto":
-            return self._auto_backend()
-        return backend
-
-    def _auto_backend(self) -> str:
-        """Pick the fastest exact backend for this ``(dataset, metric)``.
-
-        Mirrors :func:`repro.neighbors.build_index` adapted to the batch
-        setting: the bit-packed popcount index for binary Hamming data;
-        the KD-tree only where its Python-level traversal actually beats
-        one vectorized kernel pass (very low dimension, large dataset);
-        dense broadcast kernels otherwise.
-        """
-        from ..neighbors.bitpack import HAVE_BITWISE_COUNT
-
-        if (
-            HAVE_BITWISE_COUNT
-            and isinstance(self.metric, HammingMetric)
-            and self._data_is_binary()
-        ):
-            return "bitpack"
-        if (
-            isinstance(self.metric, LpMetric)
-            and self._dim <= _KDTREE_AUTO_MAX_DIM
-            and self._total >= _KDTREE_AUTO_MIN_POINTS
-        ):
-            return "kdtree"
-        return "dense"
-
-    def _build_index_layer(self) -> None:
-        """Materialize the selected backend's index structures."""
-        if self.backend == "bitpack":
-            from ..neighbors.bitpack import BitPackedHammingIndex
-
-            m_pos = self._pos.shape[0]
-            self._bit_index = BitPackedHammingIndex(
-                np.vstack([self._pos, self._neg]), self.metric
-            )
-            self._bit_pos_cols = np.arange(m_pos, dtype=np.int64)
-            self._bit_neg_cols = np.arange(
-                m_pos, m_pos + self._neg.shape[0], dtype=np.int64
-            )
-        elif self.backend == "kdtree":
-            from ..neighbors.kdtree import LazyKDTree
-
-            # Per-class trees over multiplicity-expanded points: the
-            # need-th neighbor of the expanded set equals the k-th
-            # smallest with multiplicities of the unique rows.
-            pos = np.repeat(self._pos, self._pos_mult, axis=0)
-            neg = np.repeat(self._neg, self._neg_mult, axis=0)
-            self._pos_tree = LazyKDTree(pos, self.metric)
-            self._neg_tree = LazyKDTree(neg, self.metric)
-        elif self.backend == "ivf":
-            self._ensure_ivf()
-
-    def _ensure_ivf(self) -> None:
-        """Build the per-class IVF indexes that are missing.
-
-        Same multiplicity-expanded-row convention as the KD-trees.  A
-        class that is (still) empty keeps ``None`` — one may be empty
-        at construction, and :meth:`add_points` promotes it to a real
-        index the moment its first row arrives.
-        """
-        from ..neighbors.ivf import IVFIndex
-
-        if self._pos_ivf is None and self._pos.shape[0]:
-            pos = np.repeat(self._pos, self._pos_mult, axis=0)
-            self._pos_ivf = IVFIndex(pos, self.metric)
-        if self._neg_ivf is None and self._neg.shape[0]:
-            neg = np.repeat(self._neg, self._neg_mult, axis=0)
-            self._neg_ivf = IVFIndex(neg, self.metric)
 
     # -- streaming mutation ----------------------------------------------
-
-    def check_mutation(self, points, labels, multiplicities=None, *, op: str = "add"):
-        """Validate a mutation batch **without applying it**.
-
-        Raises exactly when the matching :meth:`add_points` /
-        :meth:`remove_points` (``op`` = ``"add"`` / ``"remove"``) call
-        would; callers coordinating several engines over one dataset
-        (the serve layer) pre-validate against all of them so a refusal
-        can never leave the engines half-mutated.  Returns the
-        normalized ``(points, labels, multiplicities)`` triple.
-        """
-        pts = as_matrix(points, name="points", dimension=self._dim)
-        if pts.shape[0] == 0:
-            raise ValidationError("a mutation batch must contain at least one point")
-        lab = np.asarray(labels).astype(bool).ravel()
-        if lab.shape[0] != pts.shape[0]:
-            raise ValidationError(
-                f"labels has length {lab.shape[0]}, expected {pts.shape[0]}"
-            )
-        mult = check_multiplicities(multiplicities, pts.shape[0], name="multiplicities")
-        if self._discrete and not is_binary(pts):
-            raise ValidationError(
-                "points must contain only 0/1 entries for the discrete setting"
-            )
-        pts = np.ascontiguousarray(pts)
-        if op == "add":
-            # An *explicitly requested* bitpack backend is a contract:
-            # reject data it cannot pack.  An auto-selected one degrades
-            # to the dense kernels instead (see add_points).
-            if (
-                self._bit_index is not None
-                and self._requested_backend != "auto"
-                and not is_binary(pts)
-            ):
-                raise ValidationError(
-                    "backend='bitpack' requires strictly binary (0/1) points; "
-                    "rebuild the engine with backend='dense' for general data"
-                )
-        elif op == "remove":
-            self._validate_removal(pts, lab, mult)
-        else:
-            raise ValidationError(f"op must be 'add' or 'remove', got {op!r}")
-        return pts, lab, mult
-
-    def _validate_removal(self, pts, lab, mult) -> dict[tuple[bool, int], int]:
-        """Check a removal batch is satisfiable; returns per-row totals."""
-        requested: dict[tuple[bool, int], int] = {}
-        for row, m, flag in zip(pts, mult, lab):
-            flag = bool(flag)
-            _, mult_store, lookup = self._class_state(flag)
-            idx = lookup.get(row.tobytes())
-            side = "positives" if flag else "negatives"
-            if idx is None:
-                raise ValidationError(
-                    f"cannot remove a point absent from the {side}: {row.tolist()}"
-                )
-            requested[(flag, idx)] = requested.get((flag, idx), 0) + int(m)
-        for (flag, idx), m in requested.items():
-            _, mult_store, _ = self._class_state(flag)
-            have = int(mult_store.view[idx])
-            if have < m:
-                side = "positives" if flag else "negatives"
-                raise ValidationError(
-                    f"cannot remove {m} cop(ies) of a point with "
-                    f"multiplicity {have} in the {side}"
-                )
-        if self._total - int(mult.sum()) <= 0:
-            raise ValidationError("cannot remove the last point of a dataset")
-        return requested
-
-    def _degrade_bitpack_to_dense(self) -> None:
-        """Drop the packed index: the data outgrew what bitpack can serve.
-
-        Only reachable for an auto-selected backend (an explicit
-        ``backend="bitpack"`` rejects non-binary batches instead).  The
-        joint dense store is maintained at all times, so degrading is
-        free — the batch paths simply stop routing through popcounts.
-        """
-        self._bit_index = None
-        self._bit_pos_cols = None
-        self._bit_neg_cols = None
-        self._bit_plain = True
-        self.backend = "dense"
-
-    def _class_state(self, positive: bool):
-        """The (store, mult_store, lookup) triple of one class."""
-        if positive:
-            return self._pos_store, self._pos_mult_store, self._pos_lookup
-        return self._neg_store, self._neg_mult_store, self._neg_lookup
 
     def add_points(self, points, labels, multiplicities=None) -> int:
         """Insert labeled points in place; returns the new :attr:`version`.
@@ -542,65 +272,8 @@ class QueryEngine:
         by the new rows, and cached radii are evicted only when a new
         point lands inside the cached ball.
         """
-        pts, lab, mult = self.check_mutation(points, labels, multiplicities, op="add")
-        if self._bit_index is not None and not is_binary(pts):
-            self._degrade_bitpack_to_dense()
-        appended: dict[bool, list[int]] = {True: [], False: []}
-        touched: dict[bool, list[np.ndarray]] = {True: [], False: []}
-        for row, m, flag in zip(pts, mult, lab):
-            flag = bool(flag)
-            store, mult_store, lookup = self._class_state(flag)
-            key = row.tobytes()
-            idx = lookup.get(key)
-            if idx is None:
-                idx = len(store)
-                store.append(row.reshape(1, -1))
-                mult_store.append(np.array([m], dtype=np.int64))
-                lookup[key] = idx
-                appended[flag].append(idx)
-            else:
-                mult_store.assign(idx, int(mult_store.view[idx]) + int(m))
-            touched[flag].append(row)
-            if self._pos_tree is not None:
-                tree = self._pos_tree if flag else self._neg_tree
-                tree.add(row, int(m))
-            if self.backend == "ivf":
-                ivf = self._pos_ivf if flag else self._neg_ivf
-                if ivf is not None:
-                    ivf.add(row, int(m))
-        self._refresh_views()
-        if self.backend == "ivf":
-            # A class that was empty until this batch gets its index now.
-            self._ensure_ivf()
-        new_pos = self._pos[appended[True]] if appended[True] else None
-        new_neg = self._neg[appended[False]] if appended[False] else None
-        for rows, positive in ((new_pos, True), (new_neg, False)):
-            if rows is None:
-                continue
-            start = len(self._dense_store)
-            self._dense_store.append(rows)
-            slots = np.arange(start, start + rows.shape[0], dtype=np.int64)
-            if positive:
-                self._dense_pos_cols = np.concatenate([self._dense_pos_cols, slots])
-            else:
-                self._dense_neg_cols = np.concatenate([self._dense_neg_cols, slots])
-            if self._bit_index is not None:
-                bit_slots = self._bit_index.append(rows)
-                if positive:
-                    self._bit_pos_cols = np.concatenate(
-                        [self._bit_pos_cols, bit_slots]
-                    )
-                else:
-                    self._bit_neg_cols = np.concatenate(
-                        [self._bit_neg_cols, bit_slots]
-                    )
-        self._refresh_layout_flags()
-        self._extend_distance_cache(new_pos, new_neg)
-        self._invalidate_radii(
-            np.vstack(touched[True]) if touched[True] else None,
-            np.vstack(touched[False]) if touched[False] else None,
-        )
-        return self._bump_version()
+        self._reconcile_caches(self._store.add(points, labels, multiplicities))
+        return self.version
 
     def remove_points(self, points, labels, multiplicities=None) -> int:
         """Remove labeled points in place; returns the new :attr:`version`.
@@ -615,142 +288,52 @@ class QueryEngine:
         shrink by exactly the dropped rows, and cached radii are evicted
         only when a removed point sat inside the cached ball.
         """
-        pts, lab, mult = self.check_mutation(points, labels, multiplicities, op="remove")
-        requested = self._validate_removal(pts, lab, mult)
-        # Apply pass: decrement multiplicities, then compact dead rows.
-        touched: dict[bool, list[np.ndarray]] = {True: [], False: []}
-        for (flag, idx), m in requested.items():
-            _, mult_store, _ = self._class_state(flag)
-            mult_store.assign(idx, int(mult_store.view[idx]) - m)
-            touched[flag].append(np.array(self._class_state(flag)[0].view[idx]))
-        if self._pos_tree is not None:
-            for row, m, flag in zip(pts, mult, lab):
-                tree = self._pos_tree if flag else self._neg_tree
-                tree.remove(row, int(m))
-        if self.backend == "ivf":
-            # Validation guaranteed each row exists in its class, so the
-            # class index cannot be None here.
-            for row, m, flag in zip(pts, mult, lab):
-                ivf = self._pos_ivf if flag else self._neg_ivf
-                ivf.remove(row, int(m))
-        dead: dict[bool, np.ndarray] = {}
-        for flag in (True, False):
-            store, mult_store, _ = self._class_state(flag)
-            dead_idx = np.flatnonzero(mult_store.view == 0)
-            dead[flag] = dead_idx
-            if dead_idx.size:
-                store.delete(dead_idx)
-                mult_store.delete(dead_idx)
-                if flag:
-                    self._pos_lookup = self._build_lookup(store.view)
-                else:
-                    self._neg_lookup = self._build_lookup(store.view)
-        dead_cols = np.concatenate(
-            [self._dense_pos_cols[dead[True]], self._dense_neg_cols[dead[False]]]
-        )
-        if dead_cols.size:
-            keep = np.ones(len(self._dense_store), dtype=bool)
-            keep[dead_cols] = False
-            mapping = np.cumsum(keep, dtype=np.int64) - 1
-            self._dense_store.delete(dead_cols)
-            self._dense_pos_cols = mapping[np.delete(self._dense_pos_cols, dead[True])]
-            self._dense_neg_cols = mapping[np.delete(self._dense_neg_cols, dead[False])]
-        if self._bit_index is not None:
-            if dead[True].size:
-                self._bit_index.tombstone(self._bit_pos_cols[dead[True]])
-                self._bit_pos_cols = np.delete(self._bit_pos_cols, dead[True])
-            if dead[False].size:
-                self._bit_index.tombstone(self._bit_neg_cols[dead[False]])
-                self._bit_neg_cols = np.delete(self._bit_neg_cols, dead[False])
-            if self._bit_index.dead_fraction > _BITPACK_COMPACT_FRACTION:
-                mapping = self._bit_index.compact()
-                self._bit_pos_cols = mapping[self._bit_pos_cols]
-                self._bit_neg_cols = mapping[self._bit_neg_cols]
-        self._refresh_layout_flags()
-        self._refresh_views()
-        self._shrink_distance_cache(dead[True], dead[False])
-        self._invalidate_radii(
-            np.vstack(touched[True]) if touched[True] else None,
-            np.vstack(touched[False]) if touched[False] else None,
-        )
-        return self._bump_version()
-
-    def _bump_version(self) -> int:
-        """Invalidate the dataset snapshot and advance the version counter."""
-        self._snapshot = None
-        self.version += 1
+        self._reconcile_caches(self._store.remove(points, labels, multiplicities))
         return self.version
-
-    def _refresh_layout_flags(self) -> None:
-        """Re-check whether the joint layouts still admit plain slicing."""
-        self._dense_plain = self._cols_plain(
-            self._dense_pos_cols, self._dense_neg_cols, len(self._dense_store)
-        )
-        if self._bit_index is not None:
-            self._bit_plain = self._cols_plain(
-                self._bit_pos_cols, self._bit_neg_cols, self._bit_index.storage_size
-            )
 
     # -- targeted cache maintenance ---------------------------------------
 
-    def _extend_distance_cache(self, new_pos, new_neg) -> None:
-        """Append the new rows' powers to every cached distance vector.
+    def _reconcile_caches(self, delta) -> None:
+        """Bring both caches up to date with one applied mutation.
 
-        The metric kernels are row-independent, so extending a cached
-        vector is bit-identical to recomputing it against the grown
-        class — the cache stays warm across inserts instead of being
-        flushed.
+        Cached distance vectors gain the appended rows' powers (the
+        metric kernels are row-independent, so extending is bit-identical
+        to recomputing against the grown class) and lose the dead rows'
+        entries — the cache stays warm instead of being flushed.
+
+        Proposition 1's radii are k-th order statistics, so a touched
+        row whose surrogate power to the cached query is strictly
+        greater than the cached class radius cannot move that radius no
+        matter how its multiplicity changed; only entries where a
+        touched row reaches inside (or onto) the cached ball — or where
+        the radius is ``+inf`` and the class gained mass — are evicted.
         """
-        if not self._cache or (new_pos is None and new_neg is None):
-            return
-        for key, (pos_d, neg_d) in self._cache.items():
-            x = np.frombuffer(key, dtype=np.float64)
-            if new_pos is not None:
-                pos_d = np.concatenate([pos_d, self.metric.powers_to(new_pos, x)])
-                pos_d.setflags(write=False)
-            if new_neg is not None:
-                neg_d = np.concatenate([neg_d, self.metric.powers_to(new_neg, x)])
-                neg_d.setflags(write=False)
-            self._cache[key] = (pos_d, neg_d)
-
-    def _shrink_distance_cache(self, dead_pos: np.ndarray, dead_neg: np.ndarray) -> None:
-        """Drop the removed rows' entries from every cached distance vector."""
-        if not self._cache or (dead_pos.size == 0 and dead_neg.size == 0):
-            return
-        for key, (pos_d, neg_d) in self._cache.items():
-            if dead_pos.size:
-                pos_d = np.delete(pos_d, dead_pos)
-                pos_d.setflags(write=False)
-            if dead_neg.size:
-                neg_d = np.delete(neg_d, dead_neg)
-                neg_d.setflags(write=False)
-            self._cache[key] = (pos_d, neg_d)
-
-    def _invalidate_radii(self, pos_rows, neg_rows) -> None:
-        """Evict exactly the cached radii the touched rows can change.
-
-        Proposition 1's radii are k-th order statistics, so a row whose
-        surrogate power to the cached query is strictly greater than the
-        cached class radius cannot move that radius no matter how its
-        multiplicity changed; only entries where a touched row reaches
-        inside (or onto) the cached ball — or where the radius is
-        ``+inf`` and the class gained mass — are evicted.
-        """
-        if not self._radii_cache or (pos_rows is None and neg_rows is None):
+        if self._cache and (delta.appended or any(d.size for d in delta.dead.values())):
+            for key, vectors in self._cache.items():
+                x = np.frombuffer(key, dtype=np.float64)
+                vectors = list(vectors)
+                for j, c in enumerate(self._store.classes):
+                    if c in delta.appended:
+                        new = self.metric.powers_to(delta.appended[c], x)
+                        vectors[j] = np.concatenate([vectors[j], new])
+                    elif c in delta.dead and delta.dead[c].size:
+                        vectors[j] = np.delete(vectors[j], delta.dead[c])
+                    else:
+                        continue
+                    vectors[j].setflags(write=False)
+                self._cache[key] = tuple(vectors)
+        if not self._radii_cache or not delta.touched:
             return
         for rkey in list(self._radii_cache):
-            r_pos, r_neg = self._radii_cache[rkey]
             x = np.frombuffer(rkey[0], dtype=np.float64)
-            evict = False
-            if pos_rows is not None:
-                evict = np.isinf(r_pos) or bool(
-                    (self.metric.powers_to(pos_rows, x) <= r_pos).any()
+            if any(
+                c in delta.touched
+                and (
+                    np.isinf(r)
+                    or bool((self.metric.powers_to(delta.touched[c], x) <= r).any())
                 )
-            if not evict and neg_rows is not None:
-                evict = np.isinf(r_neg) or bool(
-                    (self.metric.powers_to(neg_rows, x) <= r_neg).any()
-                )
-            if evict:
+                for c, r in zip(self._store.classes, self._radii_cache[rkey])
+            ):
                 del self._radii_cache[rkey]
 
     # -- distances ------------------------------------------------------
@@ -760,7 +343,7 @@ class QueryEngine:
 
         The returned arrays are read-only views owned by the cache.
         """
-        xv = self._check_query(x)
+        xv = self._store.check_query(x)
         key = xv.tobytes()
         cached = self._cache.get(key)
         if cached is not None:
@@ -768,8 +351,9 @@ class QueryEngine:
             self._cache.move_to_end(key)
             return cached
         self._misses += 1
-        pos_d = self.metric.powers_to(self._pos, xv)
-        neg_d = self.metric.powers_to(self._neg, xv)
+        pos, neg = self._store.points
+        pos_d = self.metric.powers_to(pos, xv)
+        neg_d = self.metric.powers_to(neg, xv)
         pos_d.setflags(write=False)
         neg_d.setflags(write=False)
         if self._cache_size:
@@ -777,29 +361,6 @@ class QueryEngine:
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
         return pos_d, neg_d
-
-    def _class_power_blocks(self, pts_block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Backend-routed ``(to S+, to S-)`` surrogate blocks for query rows.
-
-        One joint kernel pass over the whole storage (a single popcount
-        or BLAS call — integer counts under bitpack, cheaper to
-        partition), split into the two classes by free slices while the
-        layout is still plain and by a column gather after interleaving
-        mutations.  Values agree bit for bit with :meth:`powers` either
-        way.  Non-binary query rows fall back to the dense kernel under
-        bitpack, preserving results (the packed index only accepts
-        {0,1} queries).
-        """
-        m_pos = self._pos.shape[0]
-        if self._bit_index is not None and is_binary(pts_block):
-            counts = self._bit_index.counts_matrix(pts_block)
-            if self._bit_plain:
-                return counts[:, :m_pos], counts[:, m_pos:]
-            return counts[:, self._bit_pos_cols], counts[:, self._bit_neg_cols]
-        powers = self.metric.powers_matrix(pts_block, self._dense_store.view)
-        if self._dense_plain:
-            return powers[:, :m_pos], powers[:, m_pos:]
-        return powers[:, self._dense_pos_cols], powers[:, self._dense_neg_cols]
 
     def powers_matrix(self, points) -> np.ndarray:
         """``(q, |S+| + |S-|)`` surrogate matrix, positives first.
@@ -811,36 +372,20 @@ class QueryEngine:
         — bit for bit on integer-valued data, up to roundoff on general
         floats (see :meth:`~repro.metrics.Metric.powers_matrix`).
         """
-        pts = self._check_queries(points)
-        if self._bit_index is not None and is_binary(pts):
-            if self._bit_plain:
-                return self._bit_index.counts_matrix(pts).astype(np.float64)
-        elif self._dense_plain:
-            return self.metric.powers_matrix(pts, self._dense_store.view)
-        pos_p, neg_p = self._class_power_blocks(pts)
-        return np.hstack(
-            [
-                np.asarray(pos_p, dtype=np.float64),
-                np.asarray(neg_p, dtype=np.float64),
-            ]
-        )
+        blocks = self._store.class_blocks(self._store.check_queries(points))
+        return np.hstack([np.asarray(block, dtype=np.float64) for block in blocks])
 
     def distances_matrix(self, points) -> np.ndarray:
         """``(q, |S+| + |S-|)`` true-distance matrix, positives first."""
-        pts = self._check_queries(points)
-        return np.hstack(
-            [
-                self.metric.distances_matrix(pts, self._pos),
-                self.metric.distances_matrix(pts, self._neg),
-            ]
-        )
+        pts = self._store.check_queries(points)
+        return np.hstack([self.metric.distances_matrix(pts, p) for p in self._store.points])
 
     # -- radii (Proposition 1 ball inflation) ---------------------------
 
     def radii(self, x, k: int) -> tuple[float, float]:
         """``(r+, r-)`` for one query, served from the radii/distance caches."""
-        need = self._need(k)
-        xv = self._check_query(x)
+        need = self._store.need(k)
+        xv = self._store.check_query(x)
         rkey = (xv.tobytes(), need)
         cached = self._radii_cache.get(rkey)
         if cached is not None:
@@ -848,8 +393,9 @@ class QueryEngine:
             self._radii_cache.move_to_end(rkey)
             return cached
         pos_d, neg_d = self.powers(xv)
-        r_pos = _kth_smallest_with_multiplicity(pos_d, self._pos_mult, need)
-        r_neg = _kth_smallest_with_multiplicity(neg_d, self._neg_mult, need)
+        pos_mult, neg_mult = self._store.mults
+        r_pos = _kth_smallest_with_multiplicity(pos_d, pos_mult, need)
+        r_neg = _kth_smallest_with_multiplicity(neg_d, neg_mult, need)
         if self._cache_size:
             self._radii_cache[rkey] = (r_pos, r_neg)
             if len(self._radii_cache) > self._cache_size:
@@ -857,57 +403,33 @@ class QueryEngine:
         return r_pos, r_neg
 
     def radii_batch(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized ``(r+, r-)`` arrays for every row of *points*."""
-        need = self._need(k)
-        pts = self._check_queries(points)
-        if self.backend == "kdtree":
-            return self._radii_batch_kdtree(pts, need)
-        if self.backend == "ivf":
-            return self._radii_batch_ivf(pts, need)
+        """Vectorized ``(r+, r-)`` arrays for every row of *points*.
+
+        The joint-layout backends reduce one kernel pass per
+        memory-capped query block; KD-tree/IVF ask each class index
+        directly (an empty class without an index contributes ``+inf``,
+        the :func:`_kth_smallest_with_multiplicity` convention).
+        """
+        store = self._store
+        need = store.need(k)
+        pts = store.check_queries(points)
         q = pts.shape[0]
+        indexes = store.class_indexes()
+        if indexes:
+            r_pos, r_neg = (
+                index.kth_power_batch(pts, need) if index is not None else np.full(q, np.inf)
+                for index in indexes
+            )
+            return r_pos, r_neg
         r_pos = np.empty(q)
         r_neg = np.empty(q)
-        cols = max(1, self._pos.shape[0] + self._neg.shape[0])
-        rows = max(1, _BLOCK_ELEMENTS // cols)
+        (pos_mult, neg_mult), (pos_plain, neg_plain) = store.mults, store.plain
+        rows = max(1, _BLOCK_ELEMENTS // max(1, store.offsets[-1]))
         for start in range(0, q, rows):
             block = slice(start, min(start + rows, q))
-            pos_p, neg_p = self._class_power_blocks(pts[block])
-            r_pos[block] = _kth_smallest_batch(
-                pos_p, self._pos_mult, need, plain=self._pos_plain
-            )
-            r_neg[block] = _kth_smallest_batch(
-                neg_p, self._neg_mult, need, plain=self._neg_plain
-            )
-        return r_pos, r_neg
-
-    def _radii_batch_kdtree(
-        self, pts: np.ndarray, need: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class branch-and-bound radii (the KD-tree backend)."""
-        r_pos = self._pos_tree.kth_power_batch(pts, need)
-        r_neg = self._neg_tree.kth_power_batch(pts, need)
-        return r_pos, r_neg
-
-    def _radii_batch_ivf(
-        self, pts: np.ndarray, need: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-class certified inverted-file radii (the IVF backend).
-
-        An empty class (``None`` index, or one whose rows were all
-        tombstoned) contributes ``+inf``, matching the
-        :func:`_kth_smallest_with_multiplicity` convention.
-        """
-        q = pts.shape[0]
-        r_pos = (
-            self._pos_ivf.kth_power_batch(pts, need)
-            if self._pos_ivf is not None
-            else np.full(q, np.inf)
-        )
-        r_neg = (
-            self._neg_ivf.kth_power_batch(pts, need)
-            if self._neg_ivf is not None
-            else np.full(q, np.inf)
-        )
+            pos_p, neg_p = store.class_blocks(pts[block])
+            r_pos[block] = _top_need_batch(pos_p, pos_mult, need, plain=pos_plain)[:, -1]
+            r_neg[block] = _top_need_batch(neg_p, neg_mult, need, plain=neg_plain)[:, -1]
         return r_pos, r_neg
 
     def ivf_stats(self) -> dict:
@@ -916,12 +438,7 @@ class QueryEngine:
         All zeros for other backends (the counters only advance when
         IVF indexes serve queries).
         """
-        totals = {"certified": 0, "fallback": 0, "requantized": 0}
-        for index in (self._pos_ivf, self._neg_ivf):
-            if index is not None:
-                for key in totals:
-                    totals[key] += index.stats[key]
-        return totals
+        return self._store.ivf_stats()
 
     # -- classification and margins -------------------------------------
 
@@ -937,7 +454,7 @@ class QueryEngine:
         if vote == "distance":
             return int(
                 self._classify_batch_weighted(
-                    self._check_query(x).reshape(1, -1), k
+                    self._store.check_query(x).reshape(1, -1), k
                 )[0]
             )
         if vote != "uniform":
@@ -953,7 +470,7 @@ class QueryEngine:
         Same *vote* modes as :meth:`classify`.
         """
         if vote == "distance":
-            return self._classify_batch_weighted(self._check_queries(points), k)
+            return self._classify_batch_weighted(self._store.check_queries(points), k)
         if vote != "uniform":
             raise ValidationError(
                 f"vote must be 'uniform' or 'distance', got {vote!r}"
@@ -967,55 +484,22 @@ class QueryEngine:
         Selection ties at the k-th distance break by expanded canonical
         index (positives first — the same order :meth:`neighbors` uses),
         and a tied weight sum goes to the positive class, consistent
-        with the optimistic rule.  All backends route through the joint
-        kernel pass here (a tree cannot enumerate the k nearest faster
-        than one vectorized scan at these scales).
+        with the optimistic rule (the first tied class is ``True``).
         """
-        self._need(k)  # validates odd k and k <= total
-        q = pts.shape[0]
-        out = np.empty(q, dtype=np.int64)
-        n_pos_expanded = int(self._pos_mult.sum())
-        rows = max(1, _BLOCK_ELEMENTS // max(1, self._total))
-        for start in range(0, q, rows):
-            block = slice(start, min(start + rows, q))
-            pos_p, neg_p = self._class_power_blocks(pts[block])
-            d = np.hstack(
-                [
-                    np.repeat(
-                        np.asarray(pos_p, dtype=np.float64), self._pos_mult, axis=1
-                    ),
-                    np.repeat(
-                        np.asarray(neg_p, dtype=np.float64), self._neg_mult, axis=1
-                    ),
-                ]
-            )
-            order = np.argsort(d, axis=1, kind="stable")[:, :k]
-            sel_powers = np.take_along_axis(d, order, axis=1)
-            sel_pos = order < n_pos_expanded
-            weights = _vote_weights(sel_powers, self.metric)
-            w_pos = (weights * sel_pos).sum(axis=1)
-            w_neg = (weights * ~sel_pos).sum(axis=1)
-            out[block] = (w_pos >= w_neg).astype(np.int64)
-        return out
+        self._store.need(k)  # validates odd k and k <= total
+        tied = _vote_batch(self._store, pts, k, "distance", self.metric)
+        return tied[:, 0].astype(np.int64)
 
     def margin(self, x, k: int) -> float:
         """Signed surrogate margin ``r- − r+`` (positive ⇒ class 1)."""
         r_pos, r_neg = self.radii(x, k)
         if np.isinf(r_pos) and np.isinf(r_neg):
             return 0.0
-        if np.isinf(r_pos):
-            return -np.inf
-        if np.isinf(r_neg):
-            return np.inf
         return float(r_neg - r_pos)
 
     def margins_batch(self, points, k: int) -> np.ndarray:
         """Vector of signed surrogate margins for every row of *points*."""
-        r_pos, r_neg = self.radii_batch(points, k)
-        with np.errstate(invalid="ignore"):
-            margins = r_neg - r_pos
-        margins[np.isinf(r_pos) & np.isinf(r_neg)] = 0.0
-        return margins
+        return _signed_margins(*self.radii_batch(points, k))
 
     # -- sharded batches -------------------------------------------------
 
@@ -1060,10 +544,10 @@ class QueryEngine:
         if needs_k:
             if k is None:
                 raise ValidationError(f"method {method!r} requires k")
-            self._need(k)  # validate before forking
+            self._store.need(k)  # validate before forking
         else:
             k = None
-        pts = self._check_queries(points)
+        pts = self._store.check_queries(points)
         if workers is None:
             workers = os.cpu_count() or 1
         workers = max(1, int(workers))
@@ -1097,12 +581,11 @@ class QueryEngine:
         Ties at the boundary are broken by expanded index (positives
         first), matching :meth:`Dataset.all_points` ordering.
         """
-        xv = self._check_query(x)
+        xv = self._store.check_query(x)
         k = 1 if k is None else int(k)
         pos_d, neg_d = self.powers(xv)
-        d = np.concatenate(
-            [np.repeat(pos_d, self._pos_mult), np.repeat(neg_d, self._neg_mult)]
-        )
+        pos_mult, neg_mult = self._store.mults
+        d = np.concatenate([np.repeat(pos_d, pos_mult), np.repeat(neg_d, neg_mult)])
         points, labels = self.dataset.all_points()
         order = np.argsort(d, kind="stable")[:k]
         return points[order], labels[order]
@@ -1133,43 +616,13 @@ class QueryEngine:
     # -- pickling (process-pool sharding) --------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle without caches or derived views (workers never share them)."""
+        """Pickle without caches (workers never share them)."""
         state = self.__dict__.copy()
         state["_cache"] = OrderedDict()
         state["_radii_cache"] = OrderedDict()
         state["_hits"] = 0
         state["_misses"] = 0
-        for view in ("_pos", "_neg", "_pos_mult", "_neg_mult"):
-            state[view] = None
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._refresh_views()
-
-    # -- validation helpers ----------------------------------------------
-
-    def _need(self, k: int) -> int:
-        """``(k+1)/2`` after validating k against the dataset size."""
-        k = check_odd_k(k)
-        if self._total < k:
-            raise ValidationError(
-                f"the dataset must contain at least k={k} points "
-                f"(has {self._total})"
-            )
-        return (k + 1) // 2
-
-    def _check_query(self, x) -> np.ndarray:
-        xv = as_vector(x, name="x")
-        if xv.shape[0] != self._dim:
-            raise ValidationError(
-                f"x has dimension {xv.shape[0]}, dataset has {self._dim}"
-            )
-        return np.ascontiguousarray(xv)
-
-    def _check_queries(self, points) -> np.ndarray:
-        pts = as_matrix(points, name="points", dimension=self._dim)
-        return pts
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

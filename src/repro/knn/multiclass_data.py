@@ -9,8 +9,9 @@ label order, rows in insertion order — the canonical order every
 tie-breaking rule observes) and materializes the merged binary
 :class:`~repro.knn.dataset.Dataset` for a label only on demand.
 
-Mutation semantics mirror :class:`~repro.knn.dataset.Dataset` exactly,
-per class: an added point already present in its class increments the
+Mutation runs through the same per-class fold as the binary
+:class:`~repro.knn.dataset.Dataset` (:func:`~repro.knn.dataset.fold_batch`):
+an added point already present in its class increments the
 multiplicity, a new point is appended at the end of its class, and
 removals that reach multiplicity zero drop the row with later rows
 shifting down in order.  The randomized differential harness replays
@@ -25,11 +26,11 @@ from typing import Sequence
 import numpy as np
 
 from .._validation import as_boolean_matrix, as_matrix, check_multiplicities
-from ..exceptions import DimensionMismatchError, ValidationError
-from .dataset import Dataset
+from ..exceptions import ValidationError
+from .dataset import Dataset, check_batch, check_survivors, fold_batch
 
 
-def _check_labels(labels, n_rows: int) -> np.ndarray:
+def int_labels(labels, n_rows: int) -> np.ndarray:
     """Coerce *labels* to an int64 vector of length *n_rows*."""
     lab = np.asarray(labels)
     if lab.dtype.kind not in "iub":
@@ -73,7 +74,7 @@ class MultiClassDataset:
         pts = coerce(points, name="points")
         if pts.shape[0] == 0:
             raise ValidationError("dataset must contain at least one point")
-        lab = _check_labels(labels, pts.shape[0])
+        lab = int_labels(labels, pts.shape[0])
         mult = check_multiplicities(multiplicities, pts.shape[0], name="multiplicities")
         classes = sorted(int(c) for c in np.unique(lab))
         if len(classes) < 2:
@@ -190,20 +191,6 @@ class MultiClassDataset:
 
     # -- functional mutation -------------------------------------------
 
-    def _check_mutation_batch(self, points, labels, multiplicities):
-        """Validate one add/remove batch against this dataset's schema."""
-        coerce = as_boolean_matrix if self.discrete else as_matrix
-        pts = coerce(points, name="points")
-        if pts.shape[0] == 0:
-            raise ValidationError("a mutation batch must contain at least one point")
-        if pts.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"points have dimension {pts.shape[1]}, dataset has {self.dimension}"
-            )
-        lab = _check_labels(labels, pts.shape[0])
-        mult = check_multiplicities(multiplicities, pts.shape[0], name="multiplicities")
-        return np.ascontiguousarray(pts), lab, mult
-
     def with_added(self, points, labels, multiplicities=None) -> "MultiClassDataset":
         """A new dataset with the labeled *points* added.
 
@@ -213,47 +200,7 @@ class MultiClassDataset:
         append at the end of their class, and a previously unseen label
         starts a new class (slotted into ascending label order).
         """
-        pts, lab, mult = self._check_mutation_batch(points, labels, multiplicities)
-        new_points: dict[int, list[np.ndarray]] = {}
-        new_counts: dict[int, list[int]] = {}
-        counts = {c: self._mults[c].copy() for c in self._classes}
-        lookups = {c: Dataset._row_lookup(self._points[c]) for c in self._classes}
-        for row, c, m in zip(pts, (int(v) for v in lab), mult):
-            if c not in lookups:
-                lookups[c] = {}
-                counts[c] = np.empty(0, dtype=self._mults[self._classes[0]].dtype)
-                new_points[c] = []
-                new_counts[c] = []
-            lookup = lookups[c]
-            key = row.tobytes()
-            if key in lookup:
-                idx = lookup[key]
-                if idx < counts[c].shape[0]:
-                    counts[c][idx] += m
-                else:
-                    new_counts[c][idx - counts[c].shape[0]] += m
-            else:
-                lookup[key] = counts[c].shape[0] + len(new_points.setdefault(c, []))
-                new_points[c].append(row)
-                new_counts.setdefault(c, []).append(int(m))
-        all_rows: list[np.ndarray] = []
-        all_labels: list[np.ndarray] = []
-        all_mults: list[np.ndarray] = []
-        for c in sorted(counts):
-            base = self._points.get(c, np.empty((0, self.dimension)))
-            rows = np.vstack([base, *new_points.get(c, [])]) if new_points.get(c) else base
-            cnts = np.concatenate(
-                [counts[c], np.asarray(new_counts.get(c, []), dtype=np.int64)]
-            )
-            all_rows.append(rows)
-            all_labels.append(np.full(rows.shape[0], c, dtype=np.int64))
-            all_mults.append(cnts)
-        return MultiClassDataset(
-            np.vstack(all_rows),
-            np.concatenate(all_labels),
-            multiplicities=np.concatenate(all_mults),
-            discrete=self.discrete,
-        )
+        return self._refold(points, labels, multiplicities, remove=False)
 
     def with_removed(self, points, labels, multiplicities=None) -> "MultiClassDataset":
         """A new dataset with the labeled *points* removed.
@@ -264,39 +211,24 @@ class MultiClassDataset:
         emptied class disappears, and the result must keep at least two
         distinct labels.
         """
-        pts, lab, mult = self._check_mutation_batch(points, labels, multiplicities)
-        counts = {c: self._mults[c].copy() for c in self._classes}
-        lookups = {c: Dataset._row_lookup(self._points[c]) for c in self._classes}
-        for row, c, m in zip(pts, (int(v) for v in lab), mult):
-            idx = lookups[c].get(row.tobytes()) if c in lookups else None
-            if idx is None:
-                raise ValidationError(
-                    f"cannot remove a point absent from class {c}: {row.tolist()}"
-                )
-            if counts[c][idx] < m:
-                raise ValidationError(
-                    f"cannot remove {int(m)} cop(ies) of a point with "
-                    f"multiplicity {int(counts[c][idx])} in class {c}"
-                )
-            counts[c][idx] -= m
-        all_rows: list[np.ndarray] = []
-        all_labels: list[np.ndarray] = []
-        all_mults: list[np.ndarray] = []
-        for c in self._classes:
-            keep = counts[c] > 0
-            if not np.any(keep):
-                continue
-            all_rows.append(self._points[c][keep])
-            all_labels.append(np.full(int(keep.sum()), c, dtype=np.int64))
-            all_mults.append(counts[c][keep])
-        if len(all_rows) < 2:
-            raise ValidationError(
-                "a multiclass dataset needs at least two distinct labels"
-            )
+        return self._refold(points, labels, multiplicities, remove=True)
+
+    def _refold(self, points, labels, multiplicities, *, remove: bool):
+        """Apply the shared per-class :func:`~repro.knn.dataset.fold_batch`."""
+        pts, lab, mult = check_batch(self, points, labels, multiplicities, int_labels)
+        blocks = fold_batch(
+            {c: (self._points[c], self._mults[c]) for c in self._classes},
+            pts, lab, mult, remove=remove,
+        )
+        kept = [c for c in sorted(blocks) if blocks[c][0].shape[0]]
+        if remove:
+            check_survivors(len(kept), binary=False)
         return MultiClassDataset(
-            np.vstack(all_rows),
-            np.concatenate(all_labels),
-            multiplicities=np.concatenate(all_mults),
+            np.vstack([blocks[c][0] for c in kept]),
+            np.concatenate(
+                [np.full(blocks[c][0].shape[0], c, dtype=np.int64) for c in kept]
+            ),
+            multiplicities=np.concatenate([blocks[c][1] for c in kept]),
             discrete=self.discrete,
         )
 

@@ -3,15 +3,12 @@
 The paper's final-remarks reduction explains label ``l`` on the binary
 problem "class ``l`` vs everything else".  Running it naively costs one
 engine (and one index) *per class*; :class:`MultiClassEngine` instead
-generalizes the binary :class:`~repro.knn.engine.QueryEngine` layout to
-``C`` classes over **shared** storage:
-
-* ``dense``/``bitpack`` keep one *joint* row store (one BLAS/popcount
-  kernel pass per query block) with a per-class column map — exactly
-  the binary engine's two-column-map scheme with ``C`` maps;
-* ``kdtree``/``ivf`` keep one index per class — a *partition* of the
-  rows, the same total index mass as the binary engine's two per-class
-  indexes.
+answers every class from one :class:`~repro.knn.store.LabeledStore` —
+the store the binary :class:`~repro.knn.engine.QueryEngine` stands on,
+keyed here by the labels ascending.  ``dense``/``bitpack`` serve all
+``C`` classes from one joint kernel pass per query block, split by
+per-class column maps; ``kdtree``/``ivf`` keep one index per class, a
+*partition* of the rows.
 
 Per-class one-vs-rest radii come out exactly without a merged index:
 for each class the engine extracts the ``need`` smallest surrogate
@@ -39,77 +36,40 @@ Classification semantics (the documented contract):
   trick (and the solver pipeline built on it) is a ``k = 1`` contract
   while voting serves ``k >= 3``.
 
-Streaming mutation mirrors the binary engine: the canonical per-class
-add/remove semantics of :meth:`MultiClassDataset.with_added
+Mutation is the store's protocol — the canonical per-class semantics
+of :meth:`MultiClassDataset.with_added
 <repro.knn.multiclass_data.MultiClassDataset.with_added>` applied
-incrementally (joint-store appends, bitpack tombstoning + compaction,
-KD-tree overlays, IVF add/remove), with :attr:`version` bumps and a
-lazily rebuilt dataset snapshot.  Merged binary engines for the solver
-pipeline are materialized lazily per label and dropped wholesale on
-every mutation — an incrementally mutated merged view would scramble
-the canonical negative order that tie-dependent witnesses observe.
+incrementally, a new label starting a class and an emptied class
+disappearing.  Merged binary engines for the solver pipeline are
+materialized lazily per label and dropped wholesale on every mutation —
+an incrementally mutated merged view would scramble the canonical
+negative order that tie-dependent witnesses observe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import as_matrix, as_vector, check_multiplicities, check_odd_k
 from ..exceptions import ValidationError
-from ..metrics import HammingMetric, LpMetric, Metric, default_metric_name, get_metric
-from ..metrics.hamming import is_binary
-from ..neighbors.brute import GrowableMatrix
+from ..metrics import Metric, default_metric_name, get_metric
 from .engine import (
-    _BITPACK_COMPACT_FRACTION,
     _BLOCK_ELEMENTS,
-    _KDTREE_AUTO_MAX_DIM,
-    _KDTREE_AUTO_MIN_POINTS,
-    BACKENDS,
     QueryEngine,
     _kth_smallest_with_multiplicity,
-    _vote_weights,
+    _signed_margins,
+    _top_need_batch,
+    _vote_batch,
+    _vote_tied,
 )
-from .dataset import Dataset
-from .multiclass_data import MultiClassDataset, _check_labels
+from .multiclass_data import MultiClassDataset
+from .store import LabeledStore, StoreBacked
 
 #: vote modes of :meth:`MultiClassEngine.classify_batch` (and the binary
 #: :meth:`QueryEngine.classify_batch <repro.knn.engine.QueryEngine.classify_batch>`).
 VOTES = ("uniform", "distance")
 
 
-def _top_need_batch(
-    values: np.ndarray, multiplicities: np.ndarray, need: int, *, plain: bool
-) -> np.ndarray:
-    """Row-wise ``need`` smallest elements (with multiplicities), ascending.
-
-    Returns a ``(q, need)`` matrix whose column ``j`` is the ``(j+1)``-th
-    order statistic of each row of *values* expanded per multiplicity,
-    ``+inf``-padded when fewer than ``need`` elements exist — the
-    per-class block :class:`MultiClassEngine` combines into exact
-    one-vs-rest radii.  *plain* marks the multiplicity-free case where a
-    partial sort suffices.
-    """
-    q = values.shape[0]
-    total = int(multiplicities.sum())
-    out = np.full((q, need), np.inf)
-    if values.shape[1] == 0 or total == 0:
-        return out
-    if plain:
-        take = min(need, values.shape[1])
-        part = np.partition(values, take - 1, axis=1)[:, :take]
-        out[:, :take] = np.sort(part, axis=1)
-        return out
-    order = np.argsort(values, axis=1, kind="stable")
-    running = np.cumsum(multiplicities[order], axis=1)
-    sorted_vals = np.take_along_axis(values, order, axis=1)
-    rows = np.arange(q)
-    for j in range(1, min(need, total) + 1):
-        first = np.argmax(running >= j, axis=1)
-        out[:, j - 1] = sorted_vals[rows, first]
-    return out
-
-
-class MultiClassEngine:
+class MultiClassEngine(StoreBacked):
     """Vectorized multiclass queries over ``(MultiClassDataset, metric)``.
 
     Parameters
@@ -144,266 +104,16 @@ class MultiClassEngine:
         if metric is None:
             metric = default_metric_name(dataset.discrete)
         self.metric: Metric = get_metric(metric)
-        self._dim = dataset.dimension
-        self._discrete = dataset.discrete
-        self._classes: tuple[int, ...] = dataset.classes
-        self._stores: dict[int, GrowableMatrix] = {}
-        self._mult_stores: dict[int, GrowableMatrix] = {}
-        self._lookups: dict[int, dict[bytes, int]] = {}
-        for c in self._classes:
-            self._stores[c] = GrowableMatrix(
-                np.ascontiguousarray(dataset.class_points(c), dtype=np.float64)
-            )
-            self._mult_stores[c] = GrowableMatrix(
-                np.asarray(dataset.class_multiplicities(c), dtype=np.int64)
-            )
-            self._lookups[c] = self._build_lookup(self._stores[c].view)
-        self._refresh_views()
+        self._store = LabeledStore(dataset, self.metric, backend)
         self._cache_size = max(0, int(cache_size))
-        self.version = 0
-        self._snapshot: MultiClassDataset | None = dataset
-        self._requested_backend = backend
-        self.backend = self._resolve_backend(backend)
-        # One joint row store in canonical class order; per-class column
-        # maps recover each class's block from the single kernel pass.
-        self._dense_store = GrowableMatrix(
-            np.vstack([self._stores[c].view for c in self._classes])
-        )
-        self._cols: dict[int, np.ndarray] = {}
-        start = 0
-        for c in self._classes:
-            m = self._stores[c].view.shape[0]
-            self._cols[c] = np.arange(start, start + m, dtype=np.int64)
-            start += m
-        self._bit_index = None
-        self._bit_cols: dict[int, np.ndarray] = {}
-        self._trees: dict[int, object] = {}
-        self._ivfs: dict[int, object] = {}
         self._merged_cache: dict[int, QueryEngine] = {}
-        self._build_index_layer()
-
-    #: row bytes → row index, last duplicate wins — the ONE definition
-    #: (Dataset's) shared with the functional folds, because the tie rule
-    #: is load-bearing for the engine ≡ fold parity the fuzz harness pins.
-    _build_lookup = staticmethod(Dataset._row_lookup)
-
-    # -- internal views ---------------------------------------------------
-
-    def _refresh_views(self) -> None:
-        """Re-derive per-class totals and plain-multiplicity flags."""
-        self._plain = {
-            c: bool(np.all(self._mult_stores[c].view == 1)) for c in self._classes
-        }
-        self._total = int(
-            sum(int(self._mult_stores[c].view.sum()) for c in self._classes)
-        )
 
     @property
     def classes(self) -> tuple[int, ...]:
         """The current distinct labels, ascending (canonical class order)."""
-        return self._classes
-
-    @property
-    def dataset(self) -> MultiClassDataset:
-        """The engine's current contents as an immutable MultiClassDataset.
-
-        Materialized lazily after a mutation and cached until the next
-        one, like the binary engine's snapshot.
-        """
-        if self._snapshot is None:
-            points = np.vstack([np.array(self._stores[c].view) for c in self._classes])
-            labels = np.concatenate(
-                [
-                    np.full(self._stores[c].view.shape[0], c, dtype=np.int64)
-                    for c in self._classes
-                ]
-            )
-            mults = np.concatenate(
-                [np.array(self._mult_stores[c].view) for c in self._classes]
-            )
-            self._snapshot = MultiClassDataset(
-                points, labels, multiplicities=mults, discrete=self._discrete
-            )
-        return self._snapshot
-
-    # -- backend selection ----------------------------------------------
-
-    def _data_is_binary(self) -> bool:
-        """Whether every current point is strictly 0/1."""
-        return all(is_binary(self._stores[c].view) for c in self._classes)
-
-    def _resolve_backend(self, backend: str) -> str:
-        """Validate/auto-pick the backend (same rules as the binary engine)."""
-        if backend not in BACKENDS:
-            raise ValidationError(
-                f"backend must be one of {'|'.join(BACKENDS)}, got {backend!r}"
-            )
-        if backend == "bitpack":
-            from ..neighbors.bitpack import HAVE_BITWISE_COUNT
-
-            if not isinstance(self.metric, HammingMetric):
-                raise ValidationError(
-                    f"backend='bitpack' requires the Hamming metric, "
-                    f"got {self.metric.name!r}"
-                )
-            if not self._data_is_binary():
-                raise ValidationError(
-                    "backend='bitpack' requires strictly binary (0/1) data"
-                )
-            if not HAVE_BITWISE_COUNT:  # pragma: no cover - numpy >= 2 in CI
-                raise ValidationError(
-                    "backend='bitpack' requires numpy >= 2.0 (np.bitwise_count)"
-                )
-            return backend
-        if backend in ("kdtree", "ivf"):
-            if not isinstance(self.metric, (LpMetric, HammingMetric)):
-                raise ValidationError(
-                    f"backend={backend!r} requires an lp or Hamming metric, "
-                    f"got {self.metric.name!r}"
-                )
-            return backend
-        if backend == "auto":
-            return self._auto_backend()
-        return backend
-
-    def _auto_backend(self) -> str:
-        """The binary engine's auto rule over the multiclass totals."""
-        from ..neighbors.bitpack import HAVE_BITWISE_COUNT
-
-        if (
-            HAVE_BITWISE_COUNT
-            and isinstance(self.metric, HammingMetric)
-            and self._data_is_binary()
-        ):
-            return "bitpack"
-        if (
-            isinstance(self.metric, LpMetric)
-            and self._dim <= _KDTREE_AUTO_MAX_DIM
-            and self._total >= _KDTREE_AUTO_MIN_POINTS
-        ):
-            return "kdtree"
-        return "dense"
-
-    def _build_index_layer(self) -> None:
-        """Materialize the selected backend's index structures."""
-        if self.backend == "bitpack":
-            from ..neighbors.bitpack import BitPackedHammingIndex
-
-            self._bit_index = BitPackedHammingIndex(
-                np.vstack([self._stores[c].view for c in self._classes]), self.metric
-            )
-            start = 0
-            for c in self._classes:
-                m = self._stores[c].view.shape[0]
-                self._bit_cols[c] = np.arange(start, start + m, dtype=np.int64)
-                start += m
-        elif self.backend == "kdtree":
-            from ..neighbors.kdtree import LazyKDTree
-
-            for c in self._classes:
-                rows = np.repeat(
-                    self._stores[c].view, self._mult_stores[c].view, axis=0
-                )
-                self._trees[c] = LazyKDTree(rows, self.metric)
-        elif self.backend == "ivf":
-            self._ensure_ivf()
-
-    def _ensure_ivf(self) -> None:
-        """Build the per-class IVF indexes that are missing."""
-        from ..neighbors.ivf import IVFIndex
-
-        for c in self._classes:
-            if c not in self._ivfs and self._stores[c].view.shape[0]:
-                rows = np.repeat(
-                    self._stores[c].view, self._mult_stores[c].view, axis=0
-                )
-                self._ivfs[c] = IVFIndex(rows, self.metric)
-
-    def _degrade_bitpack_to_dense(self) -> None:
-        """Drop the packed index when the data outgrows it (auto backend)."""
-        self._bit_index = None
-        self._bit_cols = {}
-        self.backend = "dense"
+        return self._store.classes
 
     # -- streaming mutation ----------------------------------------------
-
-    def check_mutation(self, points, labels, multiplicities=None, *, op: str = "add"):
-        """Validate a mutation batch **without applying it**.
-
-        Raises exactly when the matching :meth:`add_points` /
-        :meth:`remove_points` call would — the serve layer pre-validates
-        against every engine of a lineage before mutating any of them.
-        Returns the normalized ``(points, labels, multiplicities)``.
-        """
-        pts = as_matrix(points, name="points", dimension=self._dim)
-        if pts.shape[0] == 0:
-            raise ValidationError("a mutation batch must contain at least one point")
-        lab = _check_labels(labels, pts.shape[0])
-        mult = check_multiplicities(multiplicities, pts.shape[0], name="multiplicities")
-        if self._discrete and not is_binary(pts):
-            raise ValidationError(
-                "points must contain only 0/1 entries for the discrete setting"
-            )
-        pts = np.ascontiguousarray(pts)
-        if op == "add":
-            if (
-                self._bit_index is not None
-                and self._requested_backend != "auto"
-                and not is_binary(pts)
-            ):
-                raise ValidationError(
-                    "backend='bitpack' requires strictly binary (0/1) points; "
-                    "rebuild the engine with backend='dense' for general data"
-                )
-        elif op == "remove":
-            self._validate_removal(pts, lab, mult)
-        else:
-            raise ValidationError(f"op must be 'add' or 'remove', got {op!r}")
-        return pts, lab, mult
-
-    def _validate_removal(self, pts, lab, mult) -> dict[tuple[int, int], int]:
-        """Check a removal batch is satisfiable; returns per-row totals."""
-        requested: dict[tuple[int, int], int] = {}
-        for row, m, c in zip(pts, mult, (int(v) for v in lab)):
-            idx = self._lookups[c].get(row.tobytes()) if c in self._lookups else None
-            if idx is None:
-                raise ValidationError(
-                    f"cannot remove a point absent from class {c}: {row.tolist()}"
-                )
-            requested[(c, idx)] = requested.get((c, idx), 0) + int(m)
-        removed_per_class: dict[int, int] = {}
-        for (c, idx), m in requested.items():
-            have = int(self._mult_stores[c].view[idx])
-            if have < m:
-                raise ValidationError(
-                    f"cannot remove {m} cop(ies) of a point with "
-                    f"multiplicity {have} in class {c}"
-                )
-            removed_per_class[c] = removed_per_class.get(c, 0) + m
-        survivors = sum(
-            1
-            for c in self._classes
-            if int(self._mult_stores[c].view.sum()) - removed_per_class.get(c, 0) > 0
-        )
-        if survivors < 2:
-            raise ValidationError(
-                "a multiclass dataset needs at least two distinct labels"
-            )
-        return requested
-
-    def _new_class_state(self, c: int) -> None:
-        """Initialize empty per-class state for a label seen for the first time."""
-        self._stores[c] = GrowableMatrix(np.empty((0, self._dim)))
-        self._mult_stores[c] = GrowableMatrix(np.empty(0, dtype=np.int64))
-        self._lookups[c] = {}
-        self._cols[c] = np.empty(0, dtype=np.int64)
-        if self._bit_index is not None:
-            self._bit_cols[c] = np.empty(0, dtype=np.int64)
-        if self.backend == "kdtree":
-            from ..neighbors.kdtree import LazyKDTree
-
-            self._trees[c] = LazyKDTree(np.empty((0, self._dim)), self.metric)
-        self._classes = tuple(sorted([*self._classes, c]))
 
     def add_points(self, points, labels, multiplicities=None) -> int:
         """Insert labeled points in place; returns the new :attr:`version`.
@@ -417,47 +127,9 @@ class MultiClassEngine:
         freshly built from :attr:`dataset` (the fuzz harness pins this
         per backend).
         """
-        pts, lab, mult = self.check_mutation(points, labels, multiplicities, op="add")
-        if self._bit_index is not None and not is_binary(pts):
-            self._degrade_bitpack_to_dense()
-        appended: dict[int, list[int]] = {}
-        for row, m, c in zip(pts, mult, (int(v) for v in lab)):
-            if c not in self._stores:
-                self._new_class_state(c)
-            store = self._stores[c]
-            mult_store = self._mult_stores[c]
-            lookup = self._lookups[c]
-            key = row.tobytes()
-            idx = lookup.get(key)
-            if idx is None:
-                idx = len(store)
-                store.append(row.reshape(1, -1))
-                mult_store.append(np.array([m], dtype=np.int64))
-                lookup[key] = idx
-                appended.setdefault(c, []).append(idx)
-            else:
-                mult_store.assign(idx, int(mult_store.view[idx]) + int(m))
-            if self.backend == "kdtree":
-                self._trees[c].add(row, int(m))
-            elif self.backend == "ivf":
-                ivf = self._ivfs.get(c)
-                if ivf is not None:
-                    ivf.add(row, int(m))
-        self._refresh_views()
-        if self.backend == "ivf":
-            # A class that was empty until this batch gets its index now.
-            self._ensure_ivf()
-        for c, idxs in appended.items():
-            rows = self._stores[c].view[idxs]
-            start = len(self._dense_store)
-            self._dense_store.append(rows)
-            slots = np.arange(start, start + rows.shape[0], dtype=np.int64)
-            self._cols[c] = np.concatenate([self._cols[c], slots])
-            if self._bit_index is not None:
-                bit_slots = self._bit_index.append(rows)
-                self._bit_cols[c] = np.concatenate([self._bit_cols[c], bit_slots])
+        self._store.add(points, labels, multiplicities)
         self._merged_cache.clear()
-        return self._bump_version()
+        return self.version
 
     def remove_points(self, points, labels, multiplicities=None) -> int:
         """Remove labeled points in place; returns the new :attr:`version`.
@@ -469,60 +141,8 @@ class MultiClassEngine:
         emptied entirely disappears, and at least two classes must
         survive.
         """
-        pts, lab, mult = self.check_mutation(
-            points, labels, multiplicities, op="remove"
-        )
-        requested = self._validate_removal(pts, lab, mult)
-        for (c, idx), m in requested.items():
-            mult_store = self._mult_stores[c]
-            mult_store.assign(idx, int(mult_store.view[idx]) - m)
-        if self.backend == "kdtree":
-            for row, m, c in zip(pts, mult, (int(v) for v in lab)):
-                self._trees[c].remove(row, int(m))
-        elif self.backend == "ivf":
-            for row, m, c in zip(pts, mult, (int(v) for v in lab)):
-                self._ivfs[c].remove(row, int(m))
-        dead: dict[int, np.ndarray] = {}
-        for c in self._classes:
-            dead_idx = np.flatnonzero(self._mult_stores[c].view == 0)
-            dead[c] = dead_idx
-            if dead_idx.size:
-                self._stores[c].delete(dead_idx)
-                self._mult_stores[c].delete(dead_idx)
-                self._lookups[c] = self._build_lookup(self._stores[c].view)
-        dead_cols = np.concatenate([self._cols[c][dead[c]] for c in self._classes])
-        if dead_cols.size:
-            keep = np.ones(len(self._dense_store), dtype=bool)
-            keep[dead_cols] = False
-            mapping = np.cumsum(keep, dtype=np.int64) - 1
-            self._dense_store.delete(dead_cols)
-            for c in self._classes:
-                self._cols[c] = mapping[np.delete(self._cols[c], dead[c])]
-        if self._bit_index is not None:
-            for c in self._classes:
-                if dead[c].size:
-                    self._bit_index.tombstone(self._bit_cols[c][dead[c]])
-                    self._bit_cols[c] = np.delete(self._bit_cols[c], dead[c])
-            if self._bit_index.dead_fraction > _BITPACK_COMPACT_FRACTION:
-                mapping = self._bit_index.compact()
-                for c in self._classes:
-                    self._bit_cols[c] = mapping[self._bit_cols[c]]
-        emptied = [c for c in self._classes if len(self._stores[c]) == 0]
-        for c in emptied:
-            del self._stores[c], self._mult_stores[c], self._lookups[c], self._cols[c]
-            self._bit_cols.pop(c, None)
-            self._trees.pop(c, None)
-            self._ivfs.pop(c, None)
-        if emptied:
-            self._classes = tuple(c for c in self._classes if c in self._stores)
-        self._refresh_views()
+        self._store.remove(points, labels, multiplicities)
         self._merged_cache.clear()
-        return self._bump_version()
-
-    def _bump_version(self) -> int:
-        """Invalidate the dataset snapshot and advance the version counter."""
-        self._snapshot = None
-        self.version += 1
         return self.version
 
     # -- merged binary views ---------------------------------------------
@@ -545,65 +165,38 @@ class MultiClassEngine:
                 self.dataset.merged(c),
                 self.metric,
                 cache_size=self._cache_size,
-                backend=self._requested_backend,
+                backend=self._store.requested_backend,
             )
             self._merged_cache[c] = engine
         return engine
 
     # -- radii (per-class Proposition 1 generalization) -------------------
 
-    def _class_power_blocks(self, pts_block: np.ndarray) -> dict[int, np.ndarray]:
-        """Per-class surrogate blocks from ONE joint kernel pass.
+    def _top_blocks(self, pts: np.ndarray, need: int) -> list[np.ndarray]:
+        """Per-class ``(q, need)`` ascending top-power blocks, class order.
 
-        A single popcount or BLAS call over the joint storage, split by
-        the per-class column maps — the ``C``-class generalization of
-        the binary engine's two-way split.  Non-binary query rows fall
-        back to the dense kernel under bitpack, preserving results.
+        Dense/bitpack reduce the store's joint kernel pass per
+        memory-capped query block; KD-tree/IVF ask each class index
+        directly (their rows are multiplicity-expanded, so order
+        statistics already count multiplicities).
         """
-        if self._bit_index is not None and is_binary(pts_block):
-            mat = self._bit_index.counts_matrix(pts_block)
-            cols = self._bit_cols
-        else:
-            mat = self.metric.powers_matrix(pts_block, self._dense_store.view)
-            cols = self._cols
-        return {
-            c: np.ascontiguousarray(mat[:, cols[c]], dtype=np.float64)
-            for c in self._classes
-        }
-
-    def _top_blocks(self, pts: np.ndarray, need: int) -> dict[int, np.ndarray]:
-        """Per-class ``(q, need)`` ascending top-power blocks.
-
-        Dense/bitpack reduce the joint kernel pass per memory-capped
-        query block; KD-tree/IVF ask each class index directly (their
-        rows are multiplicity-expanded, so order statistics already
-        count multiplicities).
-        """
+        store = self._store
         q = pts.shape[0]
-        if self.backend == "kdtree":
-            return {c: self._trees[c].top_powers_batch(pts, need) for c in self._classes}
-        if self.backend == "ivf":
-            return {
-                c: (
-                    self._ivfs[c].top_powers_batch(pts, need)
-                    if c in self._ivfs
-                    else np.full((q, need), np.inf)
-                )
-                for c in self._classes
-            }
-        out = {c: np.empty((q, need)) for c in self._classes}
-        cols = max(1, len(self._dense_store))
-        rows = max(1, _BLOCK_ELEMENTS // cols)
+        indexes = store.class_indexes()
+        if indexes:
+            return [
+                index.top_powers_batch(pts, need)
+                if index is not None
+                else np.full((q, need), np.inf)
+                for index in indexes
+            ]
+        out = [np.empty((q, need)) for _ in store.classes]
+        rows = max(1, _BLOCK_ELEMENTS // max(1, store.offsets[-1]))
         for start in range(0, q, rows):
             block = slice(start, min(start + rows, q))
-            blocks = self._class_power_blocks(pts[block])
-            for c in self._classes:
-                out[c][block] = _top_need_batch(
-                    blocks[c],
-                    self._mult_stores[c].view,
-                    need,
-                    plain=self._plain[c],
-                )
+            blocks = store.class_blocks(pts[block])
+            for top, values, mults, plain in zip(out, blocks, store.mults, store.plain):
+                top[block] = _top_need_batch(values, mults, need, plain=plain)
         return out
 
     def class_radii_batch(
@@ -618,16 +211,16 @@ class MultiClassEngine:
         binary engine computes on :meth:`MultiClassDataset.merged`, for
         all classes at once from one kernel pass.
         """
-        need = self._need(k)
-        pts = self._check_queries(points)
+        need = self._store.need(k)
+        pts = self._store.check_queries(points)
         tops = self._top_blocks(pts, need)
         q = pts.shape[0]
-        n_classes = len(self._classes)
+        n_classes = len(tops)
         radii = np.empty((q, n_classes))
         rest = np.empty((q, n_classes))
-        stacked = np.hstack([tops[c] for c in self._classes])
-        for j, c in enumerate(self._classes):
-            radii[:, j] = tops[c][:, need - 1]
+        stacked = np.hstack(tops)
+        for j, top in enumerate(tops):
+            radii[:, j] = top[:, need - 1]
             others = np.delete(stacked, slice(j * need, (j + 1) * need), axis=1)
             rest[:, j] = np.partition(others, need - 1, axis=1)[:, need - 1]
         return radii, rest
@@ -638,7 +231,7 @@ class MultiClassEngine:
         radii, rest = self.class_radii_batch(points, k)
         return radii[:, j], rest[:, j]
 
-    def _class_powers(self, xv: np.ndarray) -> dict[int, np.ndarray]:
+    def _class_powers(self, xv: np.ndarray) -> list[np.ndarray]:
         """Per-class surrogate vectors for ONE query via the row-wise kernel.
 
         Mirrors the binary engine's :meth:`QueryEngine.powers
@@ -647,10 +240,7 @@ class MultiClassEngine:
         is exact even on general floats (the Gram batch kernel agrees
         bit for bit on integer-valued data, up to roundoff otherwise).
         """
-        return {
-            c: self.metric.powers_to(self._stores[c].view, xv)
-            for c in self._classes
-        }
+        return [self.metric.powers_to(rows, xv) for rows in self._store.points]
 
     def class_radii(self, x, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-class one-vs-rest ``(R, Rest)`` vectors for one query point.
@@ -658,20 +248,18 @@ class MultiClassEngine:
         The single-query counterpart of :meth:`class_radii_batch`,
         served by the exact row-wise kernel (see :meth:`_class_powers`).
         """
-        need = self._need(k)
-        xv = self._check_query(x)
-        powers = self._class_powers(xv)
-        mults = {c: self._mult_stores[c].view for c in self._classes}
-        n_classes = len(self._classes)
-        radii = np.empty(n_classes)
-        rest = np.empty(n_classes)
-        for j, c in enumerate(self._classes):
-            radii[j] = _kth_smallest_with_multiplicity(powers[c], mults[c], need)
-            others_p = np.concatenate(
-                [powers[o] for o in self._classes if o != c]
+        need = self._store.need(k)
+        powers = self._class_powers(self._store.check_query(x))
+        mults = list(self._store.mults)
+        radii = np.empty(len(powers))
+        rest = np.empty(len(powers))
+        for j in range(len(powers)):
+            radii[j] = _kth_smallest_with_multiplicity(powers[j], mults[j], need)
+            rest[j] = _kth_smallest_with_multiplicity(
+                np.concatenate(powers[:j] + powers[j + 1 :]),
+                np.concatenate(mults[:j] + mults[j + 1 :]),
+                need,
             )
-            others_m = np.concatenate([mults[o] for o in self._classes if o != c])
-            rest[j] = _kth_smallest_with_multiplicity(others_p, others_m, need)
         return radii, rest
 
     def radii(self, x, k: int, label: int) -> tuple[float, float]:
@@ -688,11 +276,7 @@ class MultiClassEngine:
         Same ``+inf`` conventions as the binary engine: both radii
         infinite yields ``0.0``.
         """
-        radii, rest = self.class_radii_batch(points, k)
-        with np.errstate(invalid="ignore"):
-            margins = rest - radii
-        margins[np.isinf(radii) & np.isinf(rest)] = 0.0
-        return margins
+        return _signed_margins(*self.class_radii_batch(points, k))
 
     def margins_batch(self, points, k: int, label: int) -> np.ndarray:
         """Signed one-vs-rest margin of *label* for every query row."""
@@ -718,17 +302,13 @@ class MultiClassEngine:
         semantics); ``k >= 3`` runs the *vote* mode over the ``k``
         nearest points in canonical expanded order.
         """
-        if vote not in VOTES:
-            raise ValidationError(
-                f"vote must be one of {'|'.join(VOTES)}, got {vote!r}"
-            )
-        self._need(k)
-        pts = self._check_queries(points)
-        favor_j = None if favor is None else self._class_index(favor)
+        favor_j = self._check_classify(k, favor, vote)
+        pts = self._store.check_queries(points)
         if k == 1:
             radii, _ = self.class_radii_batch(pts, 1)
-            return self._nearest_winners(radii, favor_j)
-        return self._vote_batch(pts, k, favor_j, vote)
+            return self._winners(radii <= radii.min(axis=1)[:, None], favor_j)
+        tied = _vote_batch(self._store, pts, k, vote, self.metric)
+        return self._winners(tied, favor_j)
 
     def classify(
         self, x, k: int = 1, *, favor: int | None = None, vote: str = "uniform"
@@ -740,94 +320,31 @@ class MultiClassEngine:
         float data — the same single-query guarantee the binary engine
         gives its solver pipelines.
         """
+        favor_j = self._check_classify(k, favor, vote)
+        xv = self._store.check_query(x)
+        if k == 1:
+            radii, _ = self.class_radii(xv, 1)
+            return int(self._winners(radii[None, :] <= radii.min(), favor_j)[0])
+        mults = self._store.mults
+        d = np.concatenate([np.repeat(p, m) for p, m in zip(self._class_powers(xv), mults)])
+        tied = _vote_tied(d[None, :], [int(m.sum()) for m in mults], k, vote, self.metric)
+        return int(self._winners(tied, favor_j)[0])
+
+    def _check_classify(self, k: int, favor, vote: str) -> int | None:
+        """Validate *k* and *vote*; returns the column of *favor* (or None)."""
         if vote not in VOTES:
             raise ValidationError(
                 f"vote must be one of {'|'.join(VOTES)}, got {vote!r}"
             )
-        self._need(k)
-        xv = self._check_query(x)
-        favor_j = None if favor is None else self._class_index(favor)
-        if k == 1:
-            radii, _ = self.class_radii(xv, 1)
-            return int(self._nearest_winners(radii[None, :], favor_j)[0])
-        powers = self._class_powers(xv)
-        mults = {c: self._mult_stores[c].view for c in self._classes}
-        d = np.concatenate(
-            [np.repeat(powers[c], mults[c]) for c in self._classes]
-        )
-        labels_exp = np.concatenate(
-            [
-                np.full(int(mults[c].sum()), c, dtype=np.int64)
-                for c in self._classes
-            ]
-        )
-        order = np.argsort(d, kind="stable")[:k]
-        sel_labels = labels_exp[order]
-        if vote == "uniform":
-            scores = np.array(
-                [(sel_labels == c).sum() for c in self._classes],
-                dtype=np.float64,
-            )
-        else:
-            w = _vote_weights(d[order][None, :], self.metric)[0]
-            scores = np.array(
-                [(w * (sel_labels == c)).sum() for c in self._classes]
-            )
-        tied = scores >= scores.max()
-        if favor_j is not None and tied[favor_j]:
-            return int(self._classes[favor_j])
-        return int(self._classes[int(np.argmax(tied))])
+        self._store.need(k)
+        return None if favor is None else self._class_index(favor)
 
-    def _nearest_winners(self, scores: np.ndarray, favor_j: int | None) -> np.ndarray:
-        """Argmin (radii) tie-resolution over a ``(q, C)`` score matrix."""
-        best = scores.min(axis=1)
-        tied = scores <= best[:, None]
-        out = np.asarray(self._classes, dtype=np.int64)[np.argmax(tied, axis=1)]
+    def _winners(self, tied: np.ndarray, favor_j: int | None) -> np.ndarray:
+        """Per row, *favor_j*'s label when it is tied, else the first tied class."""
+        classes = self._store.classes
+        out = np.asarray(classes, dtype=np.int64)[np.argmax(tied, axis=1)]
         if favor_j is not None:
-            out[tied[:, favor_j]] = self._classes[favor_j]
-        return out
-
-    def _vote_batch(
-        self, pts: np.ndarray, k: int, favor_j: int | None, vote: str
-    ) -> np.ndarray:
-        """The ``k >= 3`` vote over the k nearest expanded points."""
-        q = pts.shape[0]
-        out = np.empty(q, dtype=np.int64)
-        mults = {c: self._mult_stores[c].view for c in self._classes}
-        n_expanded = self._total
-        class_arr = np.asarray(self._classes, dtype=np.int64)
-        labels_exp = np.concatenate(
-            [
-                np.full(int(mults[c].sum()), c, dtype=np.int64)
-                for c in self._classes
-            ]
-        )
-        rows = max(1, _BLOCK_ELEMENTS // max(1, n_expanded))
-        for start in range(0, q, rows):
-            block = slice(start, min(start + rows, q))
-            blocks = self._class_power_blocks(pts[block])
-            d = np.hstack(
-                [np.repeat(blocks[c], mults[c], axis=1) for c in self._classes]
-            )
-            order = np.argsort(d, axis=1, kind="stable")[:, :k]
-            sel_labels = labels_exp[order]
-            if vote == "uniform":
-                scores = np.stack(
-                    [(sel_labels == c).sum(axis=1) for c in self._classes], axis=1
-                ).astype(np.float64)
-            else:
-                sel_powers = np.take_along_axis(d, order, axis=1)
-                w = _vote_weights(sel_powers, self.metric)
-                scores = np.stack(
-                    [(w * (sel_labels == c)).sum(axis=1) for c in self._classes],
-                    axis=1,
-                )
-            best = scores.max(axis=1)
-            tied = scores >= best[:, None]
-            winners = class_arr[np.argmax(tied, axis=1)]
-            if favor_j is not None:
-                winners[tied[:, favor_j]] = self._classes[favor_j]
-            out[block] = winners
+            out[tied[:, favor_j]] = classes[favor_j]
         return out
 
     # -- neighbors ---------------------------------------------------------
@@ -839,16 +356,10 @@ class MultiClassEngine:
         (classes ascending, rows in insertion order), matching
         :meth:`MultiClassDataset.all_points`.
         """
-        xv = self._check_query(x)
+        xv = self._store.check_query(x)
         k = 1 if k is None else int(k)
         d = np.concatenate(
-            [
-                np.repeat(
-                    self.metric.powers_to(self._stores[c].view, xv),
-                    self._mult_stores[c].view,
-                )
-                for c in self._classes
-            ]
+            [np.repeat(p, m) for p, m in zip(self._class_powers(xv), self._store.mults)]
         )
         points, labels = self.dataset.all_points()
         order = np.argsort(d, kind="stable")[:k]
@@ -870,51 +381,26 @@ class MultiClassEngine:
     # -- pickling ----------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        """Pickle without the merged-engine cache or derived flags."""
+        """Pickle without the merged-engine cache."""
         state = self.__dict__.copy()
         state["_merged_cache"] = {}
         return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._refresh_views()
 
     # -- validation helpers ------------------------------------------------
 
     def _check_class(self, label) -> int:
         """Validate *label* against the current classes."""
         c = int(label)
-        if c not in self._stores:
+        if c not in self._store.classes:
             raise ValidationError(f"unknown label {label}")
         return c
 
     def _class_index(self, label) -> int:
         """Column index of *label* in the canonical class order."""
-        return self._classes.index(self._check_class(label))
-
-    def _need(self, k: int) -> int:
-        """``(k+1)/2`` after validating k against the dataset size."""
-        k = check_odd_k(k)
-        if self._total < k:
-            raise ValidationError(
-                f"the dataset must contain at least k={k} points "
-                f"(has {self._total})"
-            )
-        return (k + 1) // 2
-
-    def _check_query(self, x) -> np.ndarray:
-        xv = as_vector(x, name="x")
-        if xv.shape[0] != self._dim:
-            raise ValidationError(
-                f"x has dimension {xv.shape[0]}, dataset has {self._dim}"
-            )
-        return np.ascontiguousarray(xv)
-
-    def _check_queries(self, points) -> np.ndarray:
-        return as_matrix(points, name="points", dimension=self._dim)
+        return self._store.classes.index(self._check_class(label))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MultiClassEngine(metric={self.metric.name}, backend={self.backend}, "
-            f"version={self.version}, classes={list(self._classes)})"
+            f"version={self.version}, classes={list(self.classes)})"
         )

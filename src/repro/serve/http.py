@@ -87,6 +87,7 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..knn import Dataset, MultiClassDataset
+from .cache import split_fingerprint
 from .errors import DEPRECATION_HEADER, error_envelope, error_payload, status_for
 from .metrics import PROMETHEUS_CONTENT_TYPE, StructuredLogger, new_request_id
 
@@ -208,17 +209,20 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
                 )
             )
 
+        start = perf_counter()
         responses = asyncio.run_coroutine_threadsafe(gather(), self.loop).result()
         if self.service.log.enabled:
             # The asyncio path bypasses ExplanationService.explain, so
-            # emit its provenance record here.
+            # emit its provenance record here, with the same fields.
             self.service.log.log(
                 "explain_served",
                 request_id=request_id,
+                base=split_fingerprint(fingerprint)[0][:16],
                 method=method,
                 instances=len(responses),
                 cached=sum(1 for r in responses if r.cached),
                 errors=sum(1 for r in responses if not r.ok),
+                elapsed_ms=round((perf_counter() - start) * 1000.0, 3),
             )
         return [
             {

@@ -341,6 +341,68 @@ def test_service_restores_warm_engines_from_current_snapshot(rng, data, tmp_path
     revived.close()
 
 
+def test_old_layout_warm_engine_restores_cold(rng, data, tmp_path, monkeypatch):
+    """A snapshot engine pickled in an older attribute layout is refused.
+
+    Engines now keep their rows in a labeled store; one pickled before
+    (rows in per-side ``_pos_store``/``_neg_store`` attributes) must not
+    be adopted.  Restore logs it as unloadable and the lineage comes
+    back cold — dataset and ``@vN`` from the snapshot — answering like
+    a service that never crashed.
+    """
+    import pickle
+    from collections import OrderedDict
+
+    from repro.knn import QueryEngine
+    from repro.metrics import get_metric
+    from repro.neighbors.brute import GrowableMatrix
+
+    state = tmp_path / "state"
+    batches = _batches(rng, 2)
+    service = ExplanationService(state_dir=state, snapshot_every=2)
+    fp = service.add_dataset(data)
+    service.submit(fp, "classify", rng.normal(size=4), k=3)  # warms an engine
+    for points, labels in batches:
+        service.add_points(fp, points, labels)  # snapshot lands at v2
+    current = service.dataset(fp)
+    old_state = {
+        "metric": get_metric("l2"),
+        "_dim": 4,
+        "_discrete": False,
+        "_pos_store": GrowableMatrix(np.array(current.positives)),
+        "_neg_store": GrowableMatrix(np.array(current.negatives)),
+        "_pos_mult_store": GrowableMatrix(np.array(current.positive_multiplicities)),
+        "_neg_mult_store": GrowableMatrix(np.array(current.negative_multiplicities)),
+        "_cache": OrderedDict(),
+        "_radii_cache": OrderedDict(),
+        "_cache_size": 1024,
+        "version": 2,
+        "backend": "dense",
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(QueryEngine, "__getstate__", lambda self: old_state)
+        blob = pickle.dumps(QueryEngine(current))
+    service.durability.snapshot(fp, current, 2, {"l2": blob})
+    service.close()
+
+    stream = io.StringIO()
+    revived = ExplanationService(state_dir=state, log_stream=stream)
+    records = [json.loads(line) for line in stream.getvalue().splitlines()]
+    restored = [r for r in records if r["event"] == "lineage_restored"]
+    assert restored and "warm engine 'l2' unloadable" in restored[0]["warning"]
+    assert revived.stats()["engines"] == 0  # cold: rebuilt on first use
+    assert revived.fingerprints() == [versioned_fingerprint(fp, 2)]
+    reference = ExplanationService()
+    reference.add_dataset(data)
+    for points, labels in batches:
+        reference.add_points(fp, points, labels)
+    for x in rng.normal(size=(5, 4)):
+        for method in ("classify", "margin"):
+            got = revived.submit(fp, method, x, k=3).payload
+            assert got == reference.submit(fp, method, x, k=3).payload
+    revived.close()
+
+
 def test_service_mutation_is_on_disk_before_ack(rng, data, tmp_path):
     service = ExplanationService(state_dir=tmp_path, snapshot_every=0)
     fp = service.add_dataset(data)

@@ -668,14 +668,73 @@ def test_fuzz_portfolio_pool_parity():
     assert hits > 0
 
 
-def test_map_shards_and_pickling_after_mutation(rng):
-    """A mutated engine still pickles and shards identically."""
+def _strip_to(engine, rows, keep: int) -> None:
+    """Remove every ``(row, label, multiplicity)`` past the first *keep* per label.
+
+    One call per row, last rows first: row lookups resolve a duplicated
+    row to its last occurrence, so each call then addresses its own row.
+    """
+    per_label = {}
+    for row, label, m in rows:
+        per_label.setdefault(label, []).append((row, m))
+    for label, entries in per_label.items():
+        for row, m in reversed(entries[keep:]):
+            engine.remove_points([row], [label], [m])
+
+
+@pytest.mark.parametrize("kind", ["binary", "multiclass"])
+def test_map_shards_and_pickling_after_mutation(rng, backend, kind):
+    """A mutated engine still pickles (binary: and shards) identically.
+
+    Before the round trip the mutations reach every store path: appends,
+    rows removed outright, bitpack tombstones past the compaction
+    threshold followed by fresh ones below it and, for the multiclass
+    engine (which has no ``map_shards``), a new label and an emptied
+    class.
+    """
     import pickle
 
-    data, engine = _random_engine(rng, "bitpack", size=40)
+    from repro.knn import MultiClassDataset, MultiClassEngine
+
+    if kind == "multiclass":
+        labels = rng.integers(0, 3, size=60)
+        labels[:3] = [0, 1, 2]
+        engine = MultiClassEngine(
+            MultiClassDataset(_random_points(rng, 60, 5, "hamming"), labels),
+            "hamming", backend=backend,
+        )
+        points = _random_points(rng, 5, 5, "hamming")
+        engine.add_points(points, [3, 3, 1, 2, 3])  # a new label
+        class_zero = [t for t in _existing_multiclass_rows(engine.dataset) if t[1] == 0]
+        _strip_to(engine, class_zero, 0)  # an emptied class
+        assert engine.classes == (1, 2, 3)
+        _strip_to(engine, _existing_multiclass_rows(engine.dataset), 3)
+        engine.add_points(points[:2], [1, 2])
+        last = [t for t in _existing_multiclass_rows(engine.dataset) if t[1] == 1][-1]
+        engine.remove_points([last[0]], [1], [last[2]])
+        queries = _random_points(rng, 70, 5, "hamming")
+        clone = pickle.loads(pickle.dumps(engine))
+        np.testing.assert_array_equal(
+            engine.classify_batch(queries, 3), clone.classify_batch(queries, 3)
+        )
+        for got, want in zip(clone.class_radii_batch(queries, 1),
+                             engine.class_radii_batch(queries, 1)):
+            np.testing.assert_array_equal(got, want)
+        clone.add_points(points[:1], [0])  # the emptied label returns
+        fresh = MultiClassEngine(clone.dataset, "hamming", backend=backend)
+        np.testing.assert_array_equal(
+            clone.classify_batch(queries, 3), fresh.classify_batch(queries, 3)
+        )
+        return
+    data, engine = _random_engine(rng, backend, size=40)
     points = _random_points(rng, 5, 5, "hamming")
     engine.add_points(points, [1, 0, 1, 0, 1])
     engine.remove_points(points[:2], [1, 0])
+    # Past the bitpack compaction threshold, then live tombstones again.
+    _strip_to(engine, _existing_rows(engine.dataset), 4)
+    engine.add_points(points[2:], [0, 1, 0])
+    last = [t for t in _existing_rows(engine.dataset) if t[1] == 1][-1]
+    engine.remove_points([last[0]], [1], [last[2]])
     queries = _random_points(rng, 70, 5, "hamming")
     direct = engine.classify_batch(queries, 3)
     clone = pickle.loads(pickle.dumps(engine))
@@ -686,7 +745,7 @@ def test_map_shards_and_pickling_after_mutation(rng):
     )
     # ... and the clone keeps mutating correctly (views re-derived).
     clone.add_points(points[:1], [0])
-    fresh = QueryEngine(clone.dataset, "hamming", backend="bitpack")
+    fresh = QueryEngine(clone.dataset, "hamming", backend=backend)
     np.testing.assert_array_equal(
         clone.classify_batch(queries, 3), fresh.classify_batch(queries, 3)
     )

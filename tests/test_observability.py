@@ -281,6 +281,12 @@ def test_http_access_log_threads_request_id(rng, data):
     assert http and http[0]["request_id"] == "trace-42"
     assert http[0]["status"] == 200 and http[0]["verb"] == "POST"
     assert served and served[0]["request_id"] == "trace-42"
+    # The single-process HTTP path logs the documented field set
+    # (docs/metrics.md), the same one ExplanationService.explain logs.
+    assert {
+        "request_id", "base", "method", "instances", "cached", "errors", "elapsed_ms",
+    } <= set(served[0])
+    assert served[0]["base"] == fp[:16] and served[0]["elapsed_ms"] >= 0
 
 
 def test_stats_and_metrics_agree(rng, data):

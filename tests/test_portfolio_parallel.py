@@ -274,3 +274,46 @@ class TestParallelContract:
         assert statuses["brute"] == "exact"
         assert race.attempts[-1].method == "brute"
         assert any(s == "cancelled" for s in statuses.values())
+
+
+class TestBenchParity:
+    """``repro bench`` portfolio_parallel compares answers, not winners."""
+
+    def test_phase0_accepts_a_different_race_winner(self, monkeypatch):
+        # The contest side (parallel races) may only run SAT, the
+        # sequential baseline only brute force: every payload's
+        # ``method`` differs, its canonical witness must not.  Phase 0
+        # must pass; the timing phase after it is cut short.
+        import concurrent.futures
+
+        from repro import portfolio
+        from repro.experiments import bench
+
+        def only(fn, contest, baseline):
+            def wrapper(*args, **kwargs):
+                kwargs["methods"] = contest if kwargs.get("parallel") else baseline
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            portfolio, "portfolio_minimum_sufficient_reason",
+            only(portfolio.portfolio_minimum_sufficient_reason, ("sat",), ("brute",)),
+        )
+        monkeypatch.setattr(
+            portfolio, "portfolio_closest_counterfactual",
+            only(
+                portfolio.portfolio_closest_counterfactual,
+                ("hamming-sat",), ("hamming-brute",),
+            ),
+        )
+
+        class TimingPhaseReached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise TimingPhaseReached
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", stop)
+        with pytest.raises(TimingPhaseReached):
+            bench.measure_portfolio_parallel(repeats=1)
