@@ -11,21 +11,18 @@ curse-of-dimensionality behavior), while the bit-packed index wins
 outright on binary Hamming data, which is why ``backend="auto"`` picks
 it there.
 
-Acceptance gate (run directly)::
+Run through pytest-benchmark::
 
-    PYTHONPATH=src python benchmarks/bench_ablation_nn_index.py
+    PYTHONPATH=src python -m pytest benchmarks/bench_ablation_nn_index.py -q
 
-asserts that ``backend="bitpack"`` classification is bit-identical to
-``backend="dense"`` and at least ``MIN_BITPACK_SPEEDUP``x faster on a
-5000 x 128 binary dataset.
+The gated dense-vs-bitpack ratio is the ``hamming_bitpack`` workload of
+``repro bench`` (floor in ``repro.experiments.bench.FLOORS``).
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
-from repro.experiments.bench import gated_best, measure_hamming_bitpack
 from repro.knn import Dataset, QueryEngine
 from repro.neighbors import BitPackedHammingIndex, BruteForceIndex, KDTreeIndex
 
@@ -33,13 +30,6 @@ CASES = [
     ("low-dim", 3, 4000),
     ("high-dim", 64, 2000),
 ]
-
-#: acceptance floor for the bit-packed backend on the 5000x128 binary
-#: workload (typically 4-6x: popcount on uint64 words vs a BLAS Gram
-#: matmul plus float64 partial sorts).
-MIN_BITPACK_SPEEDUP = 3.0
-#: full re-measurements allowed before the gate declares failure.
-MAX_ATTEMPTS = 3
 
 
 @pytest.mark.parametrize("label, dim, count", CASES, ids=[c[0] for c in CASES])
@@ -85,61 +75,3 @@ def test_engine_backend_hamming(benchmark, rng, backend):
     queries = rng.integers(0, 2, size=(200, 128)).astype(float)
     engine = QueryEngine(data, "hamming", backend=backend)
     benchmark(lambda: engine.classify_batch(queries, 3))
-
-
-def gated_bitpack_speedup(seed: int = 20250601, *, attempts: int = MAX_ATTEMPTS) -> dict:
-    """Best-of-*attempts* dense-vs-bitpack measurement against the 3x gate.
-
-    Each measurement asserts bit-identical classifications before any
-    timing (see :func:`measure_hamming_bitpack`).
-    """
-    return gated_best(
-        measure_hamming_bitpack,
-        threshold=MIN_BITPACK_SPEEDUP,
-        attempts=attempts,
-        seed=seed,
-    )
-
-
-def test_bitpack_bit_identical_and_faster(rng):
-    """The PR acceptance gate: exactness always, speedup best-of-3."""
-    # Exactness on a fresh randomized dataset (beyond the fixed-seed
-    # workload the timing uses), radii included.
-    points = rng.integers(0, 2, size=(800, 96)).astype(float)
-    labels = rng.integers(0, 2, size=800).astype(bool)
-    data = Dataset(points[labels], points[~labels])
-    queries = rng.integers(0, 2, size=(60, 96)).astype(float)
-    dense = QueryEngine(data, "hamming", backend="dense")
-    bitpack = QueryEngine(data, "hamming", backend="bitpack")
-    for k in (1, 3, 5):
-        np.testing.assert_array_equal(
-            dense.classify_batch(queries, k), bitpack.classify_batch(queries, k)
-        )
-        for side_dense, side_bit in zip(
-            dense.radii_batch(queries, k), bitpack.radii_batch(queries, k)
-        ):
-            np.testing.assert_array_equal(side_dense, side_bit)
-    stats = gated_bitpack_speedup()
-    assert stats["speedup"] >= MIN_BITPACK_SPEEDUP, (
-        f"bitpack classification is only {stats['speedup']:.1f}x faster than dense "
-        f"after {stats['attempts']} attempts (required: {MIN_BITPACK_SPEEDUP:.0f}x)"
-    )
-
-
-if __name__ == "__main__":
-    import sys
-
-    stats = gated_bitpack_speedup()
-    print(
-        f"Hamming classify_batch on {stats['queries']} queries x "
-        f"{stats['train']} train points x {stats['dim']} dims (k=3, binary):\n"
-        f"  dense Gram kernel : {stats['dense_s'] * 1000:9.1f} ms\n"
-        f"  bitpack popcount  : {stats['bitpack_s'] * 1000:9.1f} ms\n"
-        f"  speedup           : {stats['speedup']:9.1f}x "
-        f"(best of {stats['attempts']} attempt(s); bit-identical)"
-    )
-    if stats["speedup"] < MIN_BITPACK_SPEEDUP:
-        sys.exit(
-            f"FAIL: bitpack speedup {stats['speedup']:.1f}x is below the "
-            f"{MIN_BITPACK_SPEEDUP:.0f}x acceptance gate"
-        )

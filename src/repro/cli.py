@@ -17,14 +17,16 @@ Subcommands
     the per-method ``--budget`` and falls back to the greedy anytime
     answer on all-timeout);
 ``bench``
-    measure the headline benchmark workloads and optionally gate them
-    against a committed baseline — the CI ``bench-baseline`` job runs
+    measure the headline benchmark workloads and gate them: each gated
+    workload must reach its floor in ``experiments/bench.py::FLOORS``
+    and, with ``--baseline``, stay within ``--max-regression`` of a
+    committed baseline — the CI ``bench-baseline`` job runs
     ``bench --json BENCH_pr.json --baseline benchmarks/BENCH_baseline.json``;
 ``serve``
     start the long-lived explanation service (:mod:`repro.serve`) on a
     stdlib HTTP endpoint: datasets are registered over ``POST
-    /v1/datasets``, explanations answered (micro-batched and cached)
-    over ``POST /v1/explain``; ``--state-dir`` makes every dataset
+    /v2/datasets``, explanations answered (micro-batched and cached)
+    over ``POST /v2/explain``; ``--state-dir`` makes every dataset
     lineage durable (WAL + snapshots, restored on restart) and ``GET
     /metrics`` exposes Prometheus series — see the README's "Serving
     explanations" quickstart, ``docs/architecture.md``, and
@@ -222,16 +224,12 @@ def _cmd_bench(args) -> int:
         train=args.train,
         dim=args.dim,
     )
-    failures: list[str] = []
-    if baseline is not None:
-        # Best-of-3 re-measurement before a failure is final: the
-        # committed baseline comes from another machine, so the gate
-        # absorbs one-off shared-runner noise (updates payload in place,
-        # so the saved artifact shows the gated numbers).
-        failures = bench.compare_with_retry(
-            payload, baseline, max_regression=args.max_regression
-        )
-    report = bench.render_report(payload, baseline=baseline)
+    failures = bench.compare_with_retry(
+        payload, baseline, max_regression=args.max_regression
+    )
+    report = bench.render_report(
+        payload, baseline=baseline, max_regression=args.max_regression
+    )
     print(report)
     if args.json:
         bench.save_json(payload, args.json)
@@ -240,13 +238,14 @@ def _cmd_bench(args) -> int:
     if summary_path:
         with open(summary_path, "a") as handle:
             handle.write("### Benchmark headlines\n\n" + report + "\n")
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    if failures:
+        return 1
+    print("\nfloor gate passed (every gated workload met its floors)")
     if baseline is not None:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        if failures:
-            return 1
         print(
-            f"\nregression gate passed (headline within "
+            f"regression gate passed (headlines within "
             f"{args.max_regression:.0%} of baseline)"
         )
     return 0
@@ -337,16 +336,16 @@ def _cmd_serve(args) -> int:
     print(f"serving explanations on http://{args.host}:{server.port}")
     print(
         "  POST /v2/datasets | POST /v2/explain | GET /v2/stats "
-        "| GET /v2/cluster | GET /metrics | GET /healthz (v1 aliases kept)"
+        "| GET /v2/cluster | GET /metrics | GET /healthz"
     )
     if args.demo_size:
         instance = ", ".join(
             str(int(v)) for v in rng.integers(0, 2, size=args.demo_dimension)
         )
         print(
-            f"  try: curl -s http://{args.host}:{server.port}/v1/explain "
+            f"  try: curl -s http://{args.host}:{server.port}/v2/explain "
             f"-d '{{\"fingerprint\": \"{fingerprint}\", \"method\": \"classify\", "
-            f"\"instance\": [{instance}], \"params\": {{\"k\": 3}}}}'"
+            f"\"instances\": [[{instance}]], \"params\": {{\"k\": 3}}}}'"
         )
     # Installed after every fork, so workers keep SIGTERM's default action.
     signal.signal(signal.SIGTERM, _interrupt)
@@ -421,7 +420,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     bench_p = sub.add_parser(
-        "bench", help="measure benchmark headlines, optionally gate vs a baseline"
+        "bench", help="measure benchmark headlines and gate them against their "
+                      "floors (and a baseline, when given)"
     )
     bench_p.add_argument("--json", metavar="PATH", help="write the BENCH payload here")
     bench_p.add_argument(

@@ -58,7 +58,8 @@ paths are correspondingly backend-pluggable:
 ``"auto"``
     bitpack for binary Hamming data, KD-tree for low-dimensional lp
     over large datasets, dense otherwise (thresholds measured in
-    ``benchmarks/bench_ablation_nn_index.py``).  IVF is *not*
+    ``benchmarks/bench_ablation_nn_index.py`` and ``repro bench
+    --workloads kdtree_lowdim``).  IVF is *not*
     auto-selected: whether its certificate holds often enough to win
     depends on cluster structure the auto rule cannot see cheaply, and
     on unclustered data every query would pay the fallback scan.

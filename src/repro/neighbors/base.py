@@ -61,7 +61,7 @@ class NNIndex(abc.ABC):
 #: bookkeeping costs more than the brute scan it saves; above it IVF
 #: wins whenever the data clusters and costs one cheap centroid pass
 #: otherwise (the fallback makes bad clusterings slow, never wrong) —
-#: crossover measured in ``benchmarks/bench_million_point.py``.
+#: crossover measured with ``repro bench --workloads million_point``.
 IVF_AUTO_MIN_POINTS = 65_536
 
 

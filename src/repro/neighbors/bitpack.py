@@ -27,7 +27,7 @@ from .brute import GrowableMatrix
 
 #: query rows per kernel block: keeps the (rows, size) XOR slab and its
 #: popcount accumulator cache-resident (measured fastest around 32 rows
-#: on a 5000x128 workload; see ``benchmarks/bench_ablation_nn_index.py``).
+#: on the 5000x128 ``repro bench --workloads hamming_bitpack`` workload).
 _QUERY_BLOCK_ROWS = 32
 
 #: the vectorized popcount ufunc arrived in numpy 2.0; older numpys fall

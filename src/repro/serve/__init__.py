@@ -17,8 +17,8 @@ scaling north star calls for:
   of stalling — see :mod:`repro.serve.cluster`;
 * :func:`serve_http` / :class:`~repro.serve.http.ExplanationHTTPServer`
   expose either target over a stdlib-only JSON HTTP endpoint speaking
-  the ``/v2`` resource scheme (``/v1`` kept as a delegating alias) with
-  one documented error envelope (:mod:`repro.serve.errors`);
+  the ``/v2`` resource scheme with one documented error envelope
+  (:mod:`repro.serve.errors`);
 * :func:`run_load` / :class:`LoadSpec` generate deterministic open-loop
   mixed traffic against either target — the measurement harness behind
   the ``serve_scaleout`` benchmark headline;

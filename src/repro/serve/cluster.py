@@ -497,7 +497,7 @@ class ClusterService:
             if base not in self._datasets:
                 raise UnknownDatasetError(
                     f"unknown dataset fingerprint {base[:16]!r}...; "
-                    "register the dataset first (add_dataset / POST /v1/datasets)"
+                    "register the dataset first (add_dataset / POST /v2/datasets)"
                 )
         return base, [self._workers[i] for i in self.replica_set(base)]
 

@@ -7,13 +7,6 @@ shape::
     {"error": {"type": "<ExceptionClassName>", "message": "<human text>",
                "detail": <JSON or null>}}
 
-plus two **one-release compatibility fields** mirroring the pre-v2 flat
-shape (``error_type`` and ``error_message``, the string that used to
-live directly under ``"error"``).  HTTP replies carrying the compat
-fields also carry a ``Deprecation`` response header
-(:data:`DEPRECATION_HEADER`); the fields and the header go away
-together one release after the ``/v2`` surface landed.
-
 The HTTP status mapping is a documented table (:data:`STATUS_BY_ERROR`,
 resolved by :func:`status_for`):
 
@@ -41,10 +34,6 @@ from ..exceptions import (
     ValidationError,
 )
 
-#: header name/value sent with every reply that carries the pre-v2
-#: compatibility fields (RFC 8594-style deprecation signal).
-DEPRECATION_HEADER = ("Deprecation", 'version="pre-v2-error-shape"')
-
 #: the documented exception → HTTP status table, most specific first.
 #: :func:`status_for` walks it in order, so subclasses must precede
 #: their bases.
@@ -71,20 +60,13 @@ def status_for(exc: BaseException) -> int:
 
 
 def error_envelope(type_name: str, message: str, detail=None) -> dict:
-    """The canonical error body: envelope plus one-release compat fields.
+    """The canonical error body.
 
     ``detail`` is optional structured context (e.g. the current dataset
     version a superseded pin should re-resolve to); it must already be
     JSON-serializable.
     """
-    return {
-        "error": {"type": type_name, "message": message, "detail": detail},
-        # Pre-v2 compatibility (one release): the flat shape exposed
-        # "error_type" and the message string; readable until clients
-        # migrate to the envelope.  Mirrored by DEPRECATION_HEADER.
-        "error_type": type_name,
-        "error_message": message,
-    }
+    return {"error": {"type": type_name, "message": message, "detail": detail}}
 
 
 def error_payload(exc: BaseException, detail=None) -> dict:

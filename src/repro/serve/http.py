@@ -3,9 +3,7 @@
 ``repro serve --port 8000`` (or :func:`serve_http` from code) wraps an
 :class:`~repro.serve.service.ExplanationService` **or** a
 :class:`~repro.serve.cluster.ClusterService` in a
-``ThreadingHTTPServer`` speaking JSON.  The ``/v2`` resource scheme is
-the primary surface; every ``/v1`` route delegates to the *same*
-handler, so existing clients keep working unchanged:
+``ThreadingHTTPServer`` speaking JSON over the ``/v2`` resource scheme:
 
 ==============  ==============================  ==============================
 method          path                            body / response
@@ -41,17 +39,16 @@ POST            ``/v2/explain``                 one envelope for single and
                                                 ``{"results": [...]}``
 ==============  ==============================  ==============================
 
-``/v1`` differences (kept for one release): ``POST /v1/explain`` also
-accepts a scalar ``"instance"`` and then answers with a flat
-``{"result", "cached", "elapsed_ms"}`` instead of the ``"results"``
-list.
-
 **Errors** are one envelope everywhere — ``{"error": {"type",
-"message", "detail"}}`` plus the deprecated flat compat fields — with
-the status mapping documented in :mod:`repro.serve.errors`
-(``OverloadedError`` → 429, ``UnknownDatasetError`` → 404, validation →
-400, other library errors → 422, internal → 500).  Error replies carry
-a ``Deprecation`` header while the compat fields last.
+"message", "detail"}}`` — with the status mapping documented in
+:mod:`repro.serve.errors` (``OverloadedError`` → 429,
+``UnknownDatasetError`` → 404, validation → 400, other library errors →
+422, internal → 500).
+
+Bodies need a ``Content-Length`` of at most :data:`MAX_BODY_BYTES`; a
+chunked, negative, malformed or oversized length is a 400.  A reply to a
+request whose body was not read closes the connection, so the unread
+bytes are never parsed as a next request.
 
 Fingerprints in paths may be bare (always the *current* version) or
 versioned (``<fp>@vN``); both are validated strictly before they can
@@ -88,7 +85,7 @@ import numpy as np
 from ..exceptions import ValidationError
 from ..knn import Dataset, MultiClassDataset
 from .cache import split_fingerprint
-from .errors import DEPRECATION_HEADER, error_envelope, error_payload, status_for
+from .errors import error_envelope, error_payload, status_for
 from .metrics import PROMETHEUS_CONTENT_TYPE, StructuredLogger, new_request_id
 
 #: largest accepted request body (16 MiB) — a serving process should not
@@ -100,8 +97,8 @@ MAX_BODY_BYTES = 16 << 20
 #: (no wildcard deletion via the URL), without loosening the hex check.
 _FINGERPRINT_RE = re.compile(r"^[0-9a-f]{64}(@v[0-9]+)?$")
 
-#: path versions sharing one handler table (the whole point of /v2).
-_API_VERSIONS = ("v1", "v2")
+#: the path prefix of every versioned route.
+_API_VERSION = "v2"
 
 
 def jsonable(obj):
@@ -243,15 +240,15 @@ class _Handler(BaseHTTPRequestHandler):
     # -- verbs -----------------------------------------------------------
 
     def do_GET(self) -> None:
-        """Route a GET through the shared version-agnostic handler table."""
+        """Route a GET through the shared handler table."""
         self._handle("GET")
 
     def do_POST(self) -> None:
-        """Route a POST through the shared version-agnostic handler table."""
+        """Route a POST through the shared handler table."""
         self._handle("POST")
 
     def do_DELETE(self) -> None:
-        """Route a DELETE through the shared version-agnostic handler table."""
+        """Route a DELETE through the shared handler table."""
         self._handle("DELETE")
 
     def _handle(self, verb: str) -> None:
@@ -265,6 +262,7 @@ class _Handler(BaseHTTPRequestHandler):
         start = perf_counter()
         self.request_id = self.headers.get("X-Request-ID") or new_request_id()
         self._status = 500
+        self._body_read = False
         try:
             segments = [part for part in self.path.split("/") if part]
             if verb == "GET" and self._is_metrics_path(segments):
@@ -290,29 +288,25 @@ class _Handler(BaseHTTPRequestHandler):
 
     @staticmethod
     def _is_metrics_path(segments: list[str]) -> bool:
-        """``/metrics`` (scrape-config friendly) or ``/v1|v2/metrics``."""
-        return segments == ["metrics"] or (
-            len(segments) == 2
-            and segments[0] in _API_VERSIONS
-            and segments[1] == "metrics"
-        )
+        """``/metrics`` (scrape-config friendly) or ``/v2/metrics``."""
+        return segments in (["metrics"], [_API_VERSION, "metrics"])
 
     def _route(self, verb: str, segments: list[str]) -> dict:
-        """The one handler table shared by ``/v1`` and ``/v2``."""
+        """The handler table: ``/healthz`` plus every ``/v2`` route."""
         if segments == ["healthz"] and verb == "GET":
             return {
                 "status": "ok",
                 "datasets": len(self.server.service.fingerprints()),
             }
-        if not segments or segments[0] not in _API_VERSIONS:
+        if not segments or segments[0] != _API_VERSION:
             raise _NotFound()
-        version, rest = segments[0], segments[1:]
+        rest = segments[1:]
         if rest == ["stats"] and verb == "GET":
             return self.server.service.stats()
         if rest == ["cluster"] and verb == "GET":
             return self._cluster_info()
         if rest == ["explain"] and verb == "POST":
-            return self._explain(self._read_json(), version)
+            return self._explain(self._read_json())
         if rest == ["datasets"] and verb == "POST":
             return self._register_dataset(self._read_json())
         if len(rest) == 2 and rest[0] == "datasets":
@@ -386,7 +380,7 @@ class _Handler(BaseHTTPRequestHandler):
                 body["points"],
                 body["labels"],
                 multiplicities=body.get("multiplicities"),
-                discrete=bool(body.get("discrete", False)),
+                discrete=_discrete_flag(body),
             )
             fingerprint = self.server.service.add_dataset(data)
             return {
@@ -400,7 +394,7 @@ class _Handler(BaseHTTPRequestHandler):
             body["negatives"],
             positive_multiplicities=body.get("positive_multiplicities"),
             negative_multiplicities=body.get("negative_multiplicities"),
-            discrete=bool(body.get("discrete", False)),
+            discrete=_discrete_flag(body),
         )
         fingerprint = self.server.service.add_dataset(data)
         return {
@@ -410,45 +404,47 @@ class _Handler(BaseHTTPRequestHandler):
             "n_negative": data.n_negative,
         }
 
-    def _explain(self, body: dict, version: str) -> dict:
+    def _explain(self, body: dict) -> dict:
         """One request envelope for single and batch explanation calls.
 
-        ``/v2`` takes exactly ``{"fingerprint", "method", "params",
-        "instances"}`` and always answers ``{"results": [...]}``;
-        ``/v1`` additionally accepts a scalar ``"instance"`` and then
-        answers with the flat single-result shape, unchanged.
+        Takes exactly ``{"fingerprint", "method", "params", "instances"}``
+        and always answers ``{"results": [...]}``.
         """
         fingerprint = body["fingerprint"]
         method = body["method"]
         params = body.get("params", {})
         if not isinstance(params, dict):
             raise ValidationError("params must be a JSON object")
-        single = False
-        if "instances" in body:
-            instances = body["instances"]
-            if not isinstance(instances, list):
-                raise ValidationError("'instances' must be a list of vectors")
-        elif version == "v1" and "instance" in body:
-            instances = [body["instance"]]
-            single = True
-        else:
-            needed = "'instances'" if version == "v2" else "'instance' or 'instances'"
-            raise ValidationError(f"body needs {needed}")
+        if "instances" not in body:
+            raise ValidationError("body needs 'instances'")
+        instances = body["instances"]
+        if not isinstance(instances, list):
+            raise ValidationError("'instances' must be a list of vectors")
         results = self.server.explain(
             fingerprint, method, instances, params, self.request_id
         )
-        return results[0] if single else {"results": results}
+        return {"results": results}
 
     # -- plumbing ---------------------------------------------------------
 
     def _read_json(self) -> dict:
         """Decode the request body as a JSON object (size-capped)."""
-        length = int(self.headers.get("Content-Length") or 0)
+        if "Transfer-Encoding" in self.headers:
+            raise ValidationError(
+                "chunked request bodies are not supported; send Content-Length"
+            )
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            raise ValidationError("Content-Length must be an integer") from None
+        if length < 0:
+            raise ValidationError("Content-Length must not be negative")
         if length > MAX_BODY_BYTES:
             raise ValidationError(
                 f"request body of {length} bytes exceeds {MAX_BODY_BYTES}"
             )
         raw = self.rfile.read(length) if length else b""
+        self._body_read = True
         body = json.loads(raw.decode("utf-8") or "{}")
         if not isinstance(body, dict):
             raise ValidationError("request body must be a JSON object")
@@ -465,7 +461,7 @@ class _Handler(BaseHTTPRequestHandler):
             )
         else:
             payload = error_payload(exc)
-        self._reply(status, payload, deprecated=True)
+        self._reply(status, payload)
 
     def _reply_metrics(self) -> None:
         """``GET /metrics``: the target's Prometheus text exposition page."""
@@ -476,31 +472,42 @@ class _Handler(BaseHTTPRequestHandler):
             200, render().encode("utf-8"), content_type=PROMETHEUS_CONTENT_TYPE
         )
 
-    def _reply(self, status: int, payload: dict, *, deprecated: bool = False) -> None:
+    def _reply(self, status: int, payload: dict) -> None:
         """Serialize *payload* as JSON and finish the response."""
         blob = json.dumps(jsonable(payload)).encode("utf-8")
-        self._reply_bytes(
-            status, blob, content_type="application/json", deprecated=deprecated
-        )
+        self._reply_bytes(status, blob, content_type="application/json")
 
-    def _reply_bytes(
-        self, status: int, blob: bytes, *, content_type: str, deprecated: bool = False
-    ) -> None:
+    def _reply_bytes(self, status: int, blob: bytes, *, content_type: str) -> None:
         """Finish the response with *blob* (shared by JSON and text bodies)."""
         self._status = status
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(blob)))
         self.send_header("X-Request-ID", getattr(self, "request_id", "-"))
-        if deprecated:
-            # Error bodies still carry the pre-v2 flat compat fields for
-            # one release; the header is the machine-readable notice.
-            self.send_header(*DEPRECATION_HEADER)
+        declared = self.headers.get("Content-Length", "0") != "0" or (
+            "Transfer-Encoding" in self.headers
+        )
+        if declared and not self._body_read:
+            # The unread body would otherwise be parsed as the next
+            # request on this keep-alive connection.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(blob)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
-        """Silence per-request stderr logging (stats live at /v1/stats)."""
+        """Silence per-request stderr logging (stats live at /v2/stats)."""
+
+
+def _discrete_flag(body: dict) -> bool:
+    """A registration's ``discrete`` field: JSON ``true``/``false``, default false.
+
+    Anything else is rejected: ``bool("false")`` is true, and a wrong flag
+    would register another lineage (new fingerprint, Hamming default).
+    """
+    discrete = body.get("discrete", False)
+    if not isinstance(discrete, bool):
+        raise ValidationError("'discrete' must be true or false")
+    return discrete
 
 
 def serve_http(service, *, host: str = "127.0.0.1", port: int = 8000):

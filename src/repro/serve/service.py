@@ -122,9 +122,9 @@ class ExplanationRequest:
 class ExplanationResponse:
     """An answered request: JSON-ready payload plus serving metadata.
 
-    ``payload`` carries either the method's answer or an ``"error"`` /
-    ``"error_type"`` pair (execution failures are reported in-band so
-    one bad request cannot poison a batch).  ``cached`` tells whether
+    ``payload`` carries either the method's answer or an ``"error"``
+    envelope (execution failures are reported in-band so one bad
+    request cannot poison a batch).  ``cached`` tells whether
     the answer came from the result cache; ``elapsed_s`` is the serving
     time of this response (near zero for hits).
     """
@@ -359,7 +359,7 @@ class ExplanationService:
             if base not in self._datasets:
                 raise UnknownDatasetError(
                     f"unknown dataset fingerprint {base[:16]!r}...; "
-                    "register the dataset first (add_dataset / POST /v1/datasets)"
+                    "register the dataset first (add_dataset / POST /v2/datasets)"
                 )
             current = self._versions.get(base, 0)
         if "@" in fingerprint and version != current:

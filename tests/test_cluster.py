@@ -10,11 +10,12 @@ The contract under test is the ISSUE's acceptance bar, scaled to CI:
 - a full admission queue surfaces as a structured
   :class:`~repro.exceptions.OverloadedError` (HTTP 429), never a hang,
   and the worker recovers afterwards;
-- the ``/v2`` resource scheme, the unified error envelope, and the
-  ``/v1`` compat shape all behave as documented in ``docs/api.md``.
+- the ``/v2`` resource scheme and the unified error envelope behave as
+  documented in ``docs/api.md``.
 
 Speed ratios are deliberately NOT asserted here — this box may have a
-single core.  The >= 3x gates live in ``benchmarks/bench_serve_scaleout.py``.
+single core.  The >= 3x floors are the ``serve_scaleout`` row of the
+``repro bench`` floor table (``repro bench --workloads serve_scaleout``).
 """
 
 from __future__ import annotations
@@ -252,6 +253,21 @@ def test_cluster_close_is_idempotent(mod_rng):
 # -- load-generation harness --------------------------------------------
 
 
+def test_serve_scaleout_workload_is_deterministic():
+    """Same seed, same schedule — the parity phase's precondition."""
+    from repro.serve import build_workload
+
+    fingerprints = ["f" * 64, "0" * 64]
+    spec = LoadSpec(requests=20, seed=7)
+    first = build_workload(fingerprints, 6, spec)
+    second = build_workload(fingerprints, 6, spec)
+    assert [i.arrival_s for i in first] == [i.arrival_s for i in second]
+    assert [i.method for i in first] == [i.method for i in second]
+    assert [i.fingerprint for i in first] == [i.fingerprint for i in second]
+    for a, b in zip(first, second):
+        np.testing.assert_array_equal(a.instance, b.instance)
+
+
 def test_load_harness_smoke_counts_are_sound(cluster, single):
     spec = LoadSpec(
         rate=400.0,
@@ -355,7 +371,7 @@ def server(cluster):
         server.shutdown()  # closing the module cluster here is fine: last user
 
 
-def test_http_v2_explain_and_v1_compat(rng, server, cluster):
+def test_http_v2_explain_and_v1_is_gone(rng, server, cluster):
     url = f"http://127.0.0.1:{server.port}"
     x = rng.integers(0, 2, size=8).astype(float).tolist()
     body = {
@@ -367,20 +383,24 @@ def test_http_v2_explain_and_v1_compat(rng, server, cluster):
     v2 = _post(url + "/v2/explain", body)
     assert len(v2["results"]) == 2
     assert v2["results"][0]["result"]["label"] in (0, 1)
-    # /v1 serves the same handler: batch shape identical...
-    v1 = _post(url + "/v1/explain", body)
-    assert [r["result"] for r in v1["results"]] == [r["result"] for r in v2["results"]]
-    # ...and the scalar-instance compat form still answers flat.
-    flat = _post(
-        url + "/v1/explain",
+    # A repeat of the batch answers identically...
+    again = _post(url + "/v2/explain", body)
+    assert [r["result"] for r in again["results"]] == [r["result"] for r in v2["results"]]
+    # ...and so does a one-instance envelope.
+    one = _post(
+        url + "/v2/explain",
         {
             "fingerprint": cluster.fp,
             "method": "classify",
-            "instance": x,
+            "instances": [x],
             "params": {"k": 3},
         },
     )
-    assert flat["result"] == v2["results"][0]["result"]
+    assert one["results"][0]["result"] == v2["results"][0]["result"]
+    # The /v1 prefix is no longer routed.
+    with pytest.raises(urllib.error.HTTPError) as err:
+        _post(url + "/v1/explain", body)
+    assert err.value.code == 404
 
 
 def test_http_v2_scalar_instance_is_rejected(server, cluster):
@@ -432,10 +452,8 @@ def test_http_unknown_fingerprint_is_404_with_envelope(server):
     assert err.value.code == 404
     body = json.load(err.value)
     assert body["error"]["type"] == "UnknownDatasetError"
-    # Compat fields mirror the envelope for one release, flagged as such.
-    assert body["error_type"] == body["error"]["type"]
-    assert body["error_message"] == body["error"]["message"]
-    assert err.value.headers["Deprecation"] is not None
+    assert set(body) == {"error"}
+    assert err.value.headers["Deprecation"] is None
 
 
 def test_http_overload_is_a_structured_429(mod_rng):

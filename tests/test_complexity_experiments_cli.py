@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import pickle
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -18,6 +19,37 @@ from repro.experiments.figures import (
 )
 from repro.experiments.runner import SweepResult, run_sweep, time_callable
 from repro.experiments.tables import render_results_table, render_table1
+
+
+def _passing_row(name: str, **values) -> dict:
+    """A fake measurement of *name* on 4 cpus that clears every floor."""
+    row = {floor.metric: 100.0 for floor in bench.FLOORS[name]}
+    row["cpus"] = 4
+    row.update(values)
+    return row
+
+
+@pytest.fixture
+def fake_measure(monkeypatch):
+    """Script a workload's measurements; returns the list of calls made.
+
+    ``fake_measure(name, *rows)`` makes each later measurement of *name*
+    return the next row, with no timing involved.
+    """
+    calls: list[str] = []
+
+    def install(name: str, *rows: dict) -> list[str]:
+        queue = iter(rows)
+
+        def measure(seed, repeats):
+            calls.append(name)
+            return dict(next(queue))
+
+        monkeypatch.setitem(bench.WORKLOADS, name, measure)
+        calls.clear()
+        return calls
+
+    return install
 
 
 class TestComplexityRegistry:
@@ -158,25 +190,113 @@ class TestBenchHarness:
             {"workloads": {}}, {"workloads": {bench.HEADLINE: {"speedup": 1.0}}}
         )
 
-    def test_gated_best_retries_until_pass(self):
-        speedups = iter([1.0, 2.0, 9.0, 9.0])
+    def test_floor_table_holds_every_threshold(self):
+        table = {
+            name: [(f.metric, f.value, f.min_cpus) for f in floors]
+            for name, floors in bench.FLOORS.items()
+        }
+        assert table == {
+            "engine_batch": [("speedup", 10.0, 0)],
+            "hamming_bitpack": [("speedup", 3.0, 0)],
+            "msr_incremental": [("speedup", 3.0, 0)],
+            "serve_throughput": [("speedup", 3.0, 0)],
+            "serve_scaleout": [("speedup", 3.0, 0), ("throughput_ratio", 3.0, 4)],
+            "portfolio_parallel": [("speedup", 2.0, 4)],
+            "streaming_updates": [("speedup", 3.0, 0)],
+            "million_point": [("speedup", 6.0, 0)],
+            "scenario_multiclass": [("speedup", 1.5, 0)],
+        }
+        assert bench.GATED_HEADLINES == tuple(bench.FLOORS)
+        assert bench.HEADLINE == "engine_batch"
 
-        def fake_measure(seed, repeats):
-            return {"speedup": next(speedups)}
+    @pytest.mark.parametrize(
+        "name, floor",
+        [(name, floor) for name, floors in bench.FLOORS.items() for floor in floors],
+    )
+    def test_floor_boundary(self, name, floor, fake_measure):
+        calls = fake_measure(name)  # attempts=1: nothing may be re-measured
+        at = {"workloads": {name: _passing_row(name, **{floor.metric: floor.value})}}
+        assert bench.compare_with_retry(at, attempts=1) == []
+        below = np.nextafter(floor.value, 0.0)
+        just_below = {"workloads": {name: _passing_row(name, **{floor.metric: below})}}
+        failures = bench.compare_with_retry(just_below, attempts=1)
+        assert len(failures) == 1
+        assert f"{name} {floor.metric}" in failures[0] and "floor" in failures[0]
+        assert calls == []
 
-        stats = bench.gated_best(fake_measure, threshold=1.5, attempts=4)
-        assert stats["speedup"] == 2.0
-        assert stats["attempts"] == 2
+    @pytest.mark.parametrize(
+        "name, metric",
+        [("portfolio_parallel", "speedup"), ("serve_scaleout", "throughput_ratio")],
+    )
+    def test_cpu_conditional_floor_skipped_below_4_cpus(self, name, metric, fake_measure):
+        calls = fake_measure(name, *[_passing_row(name, **{metric: 1.0})] * 2)
+        slow = _passing_row(name, **{metric: 1.0, "cpus": 3})
+        payload = {"workloads": {name: slow}}
+        assert bench.compare_with_retry(payload) == []
+        assert calls == [] and payload["workloads"][name]["attempts"] == 1
+        payload = {"workloads": {name: _passing_row(name, **{metric: 1.0})}}
+        failures = bench.compare_with_retry(payload)
+        assert len(failures) == 1 and metric in failures[0]
+        assert calls == [name, name]
 
-    def test_gated_best_keeps_best_failure(self):
-        speedups = iter([3.0, 1.0, 2.0])
+    def test_gate_retries_until_pass(self, fake_measure):
+        calls = fake_measure(
+            "engine_batch", {"speedup": 7.0}, {"speedup": 12.0}, {"speedup": 50.0}
+        )
+        payload = {"workloads": {"engine_batch": {"speedup": 5.0}}}
+        assert bench.compare_with_retry(payload) == []
+        assert payload["workloads"]["engine_batch"] == {"speedup": 12.0, "attempts": 3}
+        assert calls == ["engine_batch"] * 2
 
-        def fake_measure(seed, repeats):
-            return {"speedup": next(speedups)}
+    def test_gate_keeps_best_failure(self, fake_measure):
+        calls = fake_measure(
+            "engine_batch", {"speedup": 8.0}, {"speedup": 6.0}, {"speedup": 50.0}
+        )
+        payload = {"workloads": {"engine_batch": {"speedup": 5.0}}}
+        failures = bench.compare_with_retry(payload)
+        assert len(failures) == 1 and "8.00x is below its 10x floor" in failures[0]
+        assert payload["workloads"]["engine_batch"] == {"speedup": 8.0, "attempts": 3}
+        assert calls == ["engine_batch"] * 2
 
-        stats = bench.gated_best(fake_measure, threshold=100.0, attempts=3)
-        assert stats["speedup"] == 3.0
-        assert stats["attempts"] == 3
+    def test_gate_remeasures_baseline_regressions(self, fake_measure):
+        baseline = {"workloads": {"engine_batch": {"speedup": 100.0}}}
+        calls = fake_measure("engine_batch", {"speedup": 60.0}, {"speedup": 40.0})
+        payload = {"workloads": {"engine_batch": {"speedup": 50.0}}}
+        failures = bench.compare_with_retry(payload, baseline, max_regression=0.25)
+        assert len(failures) == 1 and "regressed" in failures[0]
+        assert payload["workloads"]["engine_batch"] == {"speedup": 60.0, "attempts": 3}
+        assert calls == ["engine_batch"] * 2
+        calls = fake_measure("engine_batch", {"speedup": 80.0})
+        payload = {"workloads": {"engine_batch": {"speedup": 50.0}}}
+        assert bench.compare_with_retry(payload, baseline, max_regression=0.25) == []
+        assert payload["workloads"]["engine_batch"]["speedup"] == 80.0
+        assert calls == ["engine_batch"]
+
+    def test_gate_prefers_fewest_failed_checks(self, fake_measure):
+        # A re-measurement that passes replaces a faster one that fails.
+        passing = _passing_row("serve_scaleout", speedup=4.0)
+        calls = fake_measure("serve_scaleout", passing)
+        failing = _passing_row("serve_scaleout", speedup=8.0, throughput_ratio=1.0)
+        payload = {"workloads": {"serve_scaleout": failing}}
+        assert bench.compare_with_retry(payload) == []
+        assert payload["workloads"]["serve_scaleout"]["speedup"] == 4.0
+        assert calls == ["serve_scaleout"]
+
+    def test_render_report_shows_floors_and_verdicts(self):
+        payload = {
+            "workloads": {
+                "engine_batch": {"speedup": 9.0, "attempts": 3},
+                "portfolio_parallel": {"speedup": 1.1, "cpus": 2},
+                "kdtree_lowdim": {"speedup": 4.0},
+            }
+        }
+        rows = {
+            line.split(" | ")[0].lstrip("| "): line
+            for line in bench.render_report(payload).splitlines()
+        }
+        assert "| ≥ 10x | FAIL (best of 3) |" in rows["engine_batch"]
+        assert "| ≥ 2x at 4+ cpus, skipped: 2 cpus | pass |" in rows["portfolio_parallel"]
+        assert "| — | — |" in rows["kdtree_lowdim"]
 
     def test_collect_subset_and_render(self):
         payload = bench.collect(repeats=1, workloads=["kdtree_lowdim"])
@@ -252,7 +372,16 @@ class TestCLI:
         payload = json.loads(json_path.read_text())
         assert "kdtree_lowdim" in payload["workloads"]
 
-    def test_bench_regression_gate_fails(self, capsys, tmp_path):
+    def test_bench_floor_miss_exits_1_without_baseline(self, capsys, fake_measure):
+        fake_measure("engine_batch", *[{"speedup": 2.0}] * 3)
+        assert main(["bench", "--workloads", "engine_batch"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL (best of 3)" in captured.out
+        assert "FAIL: engine_batch speedup 2.00x is below its 10x floor" in captured.err
+
+    def test_bench_regression_gate_fails(self, capsys, tmp_path, fake_measure):
+        # Above the 10x floor, so only the baseline can fail the run.
+        fake_measure("engine_batch", *[{"speedup": 20.0}] * 3)
         baseline_path = tmp_path / "BENCH_baseline.json"
         baseline_path.write_text(
             json.dumps({"workloads": {bench.HEADLINE: {"speedup": 10_000.0}}})
@@ -263,7 +392,8 @@ class TestCLI:
         )
         assert code == 1
 
-    def test_bench_regression_gate_passes(self, capsys, tmp_path):
+    def test_bench_regression_gate_passes(self, capsys, tmp_path, fake_measure):
+        fake_measure("engine_batch", {"speedup": 20.0})
         baseline_path = tmp_path / "BENCH_baseline.json"
         baseline_path.write_text(
             json.dumps({"workloads": {bench.HEADLINE: {"speedup": 0.001}}})

@@ -11,9 +11,11 @@ from repro.exceptions import ValidationError
 from repro.neighbors import (
     BitPackedHammingIndex,
     BruteForceIndex,
+    IVFIndex,
     KDTreeIndex,
     build_index,
 )
+from repro.neighbors.base import IVF_AUTO_MIN_POINTS
 
 
 def reference_query(points, metric, x, k):
@@ -198,6 +200,14 @@ class TestBuildIndex:
         pts = rng.integers(0, 3, size=(100, 30)).astype(float)
         index = build_index(pts, "hamming")
         assert not isinstance(index, BitPackedHammingIndex)
+
+    def test_auto_rule_prefers_ivf_at_scale(self, rng):
+        """``build_index`` reaches for IVF above the measured crossover."""
+        small = rng.integers(0, 5, size=(256, 16)).astype(float)
+        assert not isinstance(build_index(small, "l2"), IVFIndex)
+        assert IVF_AUTO_MIN_POINTS >= 4_096  # the crossover is a large-n rule
+        large = rng.integers(0, 5, size=(IVF_AUTO_MIN_POINTS, 16)).astype(float)
+        assert isinstance(build_index(large, "l2"), IVFIndex)
 
 
 class TestKthPowerBatch:

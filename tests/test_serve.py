@@ -9,7 +9,10 @@ including the Proposition 1 tie case (``r+ == r-`` classifies 1).
 from __future__ import annotations
 
 import asyncio
+import http.client
 import json
+import re
+import socket
 import threading
 import time
 import urllib.error
@@ -347,7 +350,7 @@ def test_in_band_error_is_not_cached(rng, service):
     # The MILP Minimum-SR pipeline covers the discrete k=1 cell only.
     response = service.submit(service.fp, "minimum_sr", x, k=3, solver="milp")
     assert not response.ok
-    assert response.payload["error_type"] == "UnsupportedSettingError"
+    assert response.payload["error"]["type"] == "UnsupportedSettingError"
     assert len(service.cache) == 0
     assert not service.submit(service.fp, "minimum_sr", x, k=3, solver="milp").cached
 
@@ -450,42 +453,42 @@ def test_http_end_to_end(rng, data, server, service):
     with urllib.request.urlopen(url + "/healthz") as response:
         assert json.load(response)["status"] == "ok"
     x = rng.integers(0, 2, size=8).astype(float).tolist()
-    single = _post(url + "/v1/explain", {
+    (single,) = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "classify",
-        "instance": x, "params": {"k": 3},
-    })
+        "instances": [x], "params": {"k": 3},
+    })["results"]
     assert single["result"]["label"] in (0, 1)
     assert single["cached"] is False
-    again = _post(url + "/v1/explain", {
+    (again,) = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "classify",
-        "instance": x, "params": {"k": 3},
-    })
+        "instances": [x], "params": {"k": 3},
+    })["results"]
     assert again["cached"] is True
     assert again["result"] == single["result"]
-    batch = _post(url + "/v1/explain", {
+    batch = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "margin",
         "instances": [x, x], "params": {"k": 3},
     })
     assert len(batch["results"]) == 2
-    with urllib.request.urlopen(url + "/v1/stats") as response:
+    with urllib.request.urlopen(url + "/v2/stats") as response:
         stats = json.load(response)
     assert stats["requests"] >= 4 and stats["cache"]["hits"] >= 1
 
 
 def test_http_register_and_delete_dataset(server):
     url = f"http://127.0.0.1:{server.port}"
-    registered = _post(url + "/v1/datasets", {
+    registered = _post(url + "/v2/datasets", {
         "positives": [[0, 1], [1, 1]], "negatives": [[0, 0]], "discrete": True,
     })
     fp = registered["fingerprint"]
     assert registered["dimension"] == 2
-    answer = _post(url + "/v1/explain", {
+    (answer,) = _post(url + "/v2/explain", {
         "fingerprint": fp, "method": "minimum_sr",
-        "instance": [1, 1], "params": {"k": 1, "solver": "sat"},
-    })
+        "instances": [[1, 1]], "params": {"k": 1, "solver": "sat"},
+    })["results"]
     assert answer["result"]["size"] >= 0
     request = urllib.request.Request(
-        url + f"/v1/datasets/{fp}", method="DELETE"
+        url + f"/v2/datasets/{fp}", method="DELETE"
     )
     with urllib.request.urlopen(request) as response:
         assert json.load(response)["invalidated"] == 1
@@ -502,7 +505,7 @@ def test_http_delete_rejects_malformed_fingerprint(rng, tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        url = f"http://127.0.0.1:{server.port}/v1/datasets/"
+        url = f"http://127.0.0.1:{server.port}/v2/datasets/"
         for bad in ("*", "..%2F..", "a" * 63, "G" * 64):
             request = urllib.request.Request(url + bad, method="DELETE")
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -530,24 +533,115 @@ def test_invalidate_ignores_glob_metacharacters(tmp_path):
 def test_http_error_codes(server, service):
     url = f"http://127.0.0.1:{server.port}"
     with pytest.raises(urllib.error.HTTPError) as err:
-        _post(url + "/v1/explain", {
-            "fingerprint": service.fp, "method": "nope", "instance": [0] * 8,
+        _post(url + "/v2/explain", {
+            "fingerprint": service.fp, "method": "nope", "instances": [[0] * 8],
         })
     assert err.value.code == 400
     body = json.load(err.value)
     assert "unknown method" in body["error"]["message"]
     assert body["error"]["type"] == "ValidationError"
-    # One-release compat: the flat pre-v2 fields, flagged as deprecated.
-    assert body["error_type"] == "ValidationError"
-    assert "unknown method" in body["error_message"]
-    assert err.value.headers["Deprecation"] is not None
+    assert set(body) == {"error"}
+    assert err.value.headers["Deprecation"] is None
     with pytest.raises(urllib.error.HTTPError) as err:
-        _post(url + "/v1/explain", {"fingerprint": service.fp, "method": "classify"})
+        _post(url + "/v2/explain", {"fingerprint": service.fp, "method": "classify"})
     assert err.value.code == 400
     with pytest.raises(urllib.error.HTTPError) as err:
         with urllib.request.urlopen(url + "/nope"):
             pass
     assert err.value.code == 404
+
+
+#: a complete request, smuggled in as the body of another one.
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+def _raw_exchange(port: int, request: bytes) -> tuple[bytes | None, bytes, bool]:
+    """Send *request* on a fresh connection.
+
+    Returns the first reply's status, the bytes after that reply, and
+    whether the server closed the connection.  Reads until the server
+    closes or 3 s pass, so an unread body parsed as a second request
+    shows up as trailing bytes, and a server blocked on the body as no
+    reply, never as a hang.
+    """
+    data, closed = b"", False
+    with socket.create_connection(("127.0.0.1", port), timeout=3.0) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                data += chunk
+            closed = True
+        except TimeoutError:
+            pass
+    head, _, rest = data.partition(b"\r\n\r\n")
+    match = re.search(rb"^HTTP/1\.1 (\d{3}) .*^Content-Length: (\d+)", head, re.M | re.S)
+    if match is None:
+        return None, data, closed
+    return match[1], rest[int(match[2]):], closed
+
+
+@pytest.mark.parametrize(
+    "head, body, status",
+    [
+        ("POST /v2/explain HTTP/1.1\r\nContent-Length: 16777217", _SMUGGLED, b"400"),
+        ("POST /v2/explain HTTP/1.1\r\nContent-Length: abc", _SMUGGLED, b"400"),
+        ("POST /v2/explain HTTP/1.1\r\nContent-Length: -1", _SMUGGLED, b"400"),
+        (
+            "POST /v2/explain HTTP/1.1\r\nTransfer-Encoding: chunked",
+            b"%x\r\n%s\r\n0\r\n\r\n" % (len(_SMUGGLED), _SMUGGLED),
+            b"400",
+        ),
+        (f"POST /v2/nope HTTP/1.1\r\nContent-Length: {len(_SMUGGLED)}", _SMUGGLED, b"404"),
+    ],
+    ids=["oversized", "non-integer", "negative", "chunked", "rejected-unread"],
+)
+def test_http_unread_body_is_never_a_next_request(server, head, body, status):
+    request = head.encode() + b"\r\nHost: x\r\n\r\n" + body
+    assert _raw_exchange(server.port, request) == (status, b"", True)
+
+
+def test_http_read_body_keeps_the_connection(server, service):
+    # A rejected request whose body was read leaves keep-alive intact.
+    connection = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+    try:
+        body = json.dumps(
+            {"fingerprint": service.fp, "method": "nope", "instances": [[0] * 8]}
+        )
+        connection.request("POST", "/v2/explain", body)
+        response = connection.getresponse()
+        assert response.status == 400 and response.getheader("Connection") is None
+        response.read()
+        sock = connection.sock
+        connection.request("GET", "/healthz")
+        assert connection.getresponse().status == 200
+        assert connection.sock is sock  # the same connection served both
+    finally:
+        connection.close()
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"positives": [[0, 1], [1, 1]], "negatives": [[0, 0]]},
+        {"points": [[0, 1], [1, 1], [0, 0]], "labels": [0, 1, 2]},
+    ],
+    ids=["binary", "multiclass"],
+)
+def test_http_register_rejects_non_boolean_discrete(server, body):
+    url = f"http://127.0.0.1:{server.port}"
+    for bad in ("false", "no", 1.5, 1, None):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _post(url + "/v2/datasets", {**body, "discrete": bad})
+        with err.value as reply:
+            assert reply.code == 400
+            assert "discrete" in json.load(reply)["error"]["message"]
+    missing = _post(url + "/v2/datasets", body)["fingerprint"]
+    assert _post(url + "/v2/datasets", {**body, "discrete": False})["fingerprint"] == missing
+    discrete = _post(url + "/v2/datasets", {**body, "discrete": True})["fingerprint"]
+    assert discrete != missing
+    for fingerprint, flag in ((missing, False), (discrete, True)):
+        with urllib.request.urlopen(url + f"/v2/datasets/{fingerprint}") as response:
+            assert json.load(response)["discrete"] is flag
 
 
 def test_http_concurrent_requests_micro_batch(rng, data):
@@ -557,15 +651,15 @@ def test_http_concurrent_requests_micro_batch(rng, data):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        url = f"http://127.0.0.1:{server.port}/v1/explain"
+        url = f"http://127.0.0.1:{server.port}/v2/explain"
         queries = _queries(rng, 8, 6)
         results = [None] * len(queries)
 
         def worker(i, x):
-            results[i] = _post(url, {
+            (results[i],) = _post(url, {
                 "fingerprint": fp, "method": "classify",
-                "instance": x.tolist(), "params": {"k": 3},
-            })
+                "instances": [x.tolist()], "params": {"k": 3},
+            })["results"]
 
         threads = [
             threading.Thread(target=worker, args=(i, x))
@@ -788,39 +882,39 @@ def test_remove_dataset_with_superseded_version_keeps_dataset(rng, data):
 def test_http_streaming_mutation_endpoints(rng, data, server, service):
     url = f"http://127.0.0.1:{server.port}"
     x = rng.integers(0, 2, size=8).astype(float)
-    before = _post(url + "/v1/explain", {
+    (before,) = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "radii",
-        "instance": x.tolist(), "params": {"k": 3},
-    })
-    added = _post(url + f"/v1/datasets/{service.fp}/points", {
+        "instances": [x.tolist()], "params": {"k": 3},
+    })["results"]
+    added = _post(url + f"/v2/datasets/{service.fp}/points", {
         "points": [x.tolist()], "labels": [1], "multiplicities": [2],
     })
     assert added["fingerprint"] == f"{service.fp}@v1"
     assert added["version"] == 1
     assert added["n_positive"] == data.n_positive + 2
-    after = _post(url + "/v1/explain", {
+    (after,) = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "radii",
-        "instance": x.tolist(), "params": {"k": 3},
-    })
+        "instances": [x.tolist()], "params": {"k": 3},
+    })["results"]
     assert not after["cached"]
     assert after["result"]["r_pos"] == 0.0  # two copies of x are positives now
-    removed = _delete(url + f"/v1/datasets/{service.fp}/points", {
+    removed = _delete(url + f"/v2/datasets/{service.fp}/points", {
         "points": [x.tolist()], "labels": [1], "multiplicities": [2],
     })
     assert removed["version"] == 2 and removed["n_positive"] == data.n_positive
-    restored = _post(url + "/v1/explain", {
+    (restored,) = _post(url + "/v2/explain", {
         "fingerprint": service.fp, "method": "radii",
-        "instance": x.tolist(), "params": {"k": 3},
-    })
+        "instances": [x.tolist()], "params": {"k": 3},
+    })["results"]
     assert restored["result"] == before["result"]
     with pytest.raises(urllib.error.HTTPError) as err:
-        _post(url + "/v1/datasets/zz/points", {"points": [[0] * 8], "labels": [1]})
+        _post(url + "/v2/datasets/zz/points", {"points": [[0] * 8], "labels": [1]})
     assert err.value.code == 400
     with pytest.raises(urllib.error.HTTPError) as err:
-        _post(url + f"/v1/datasets/{service.fp}/points", {"points": [[0] * 8]})
+        _post(url + f"/v2/datasets/{service.fp}/points", {"points": [[0] * 8]})
     assert err.value.code == 400  # missing labels
     with pytest.raises(urllib.error.HTTPError) as err:
-        _delete(url + f"/v1/datasets/{service.fp}/points", {
+        _delete(url + f"/v2/datasets/{service.fp}/points", {
             "points": [[0.0] * 8], "labels": [1], "multiplicities": [99],
         })
     assert err.value.code in (400, 422)  # invalid removal is rejected in full
@@ -838,7 +932,7 @@ def test_http_delete_accepts_versioned_fingerprint(rng, tmp_path):
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     try:
-        url = f"http://127.0.0.1:{server.port}/v1/datasets/"
+        url = f"http://127.0.0.1:{server.port}/v2/datasets/"
         for bad in (fp + "@v", fp + "@vx", fp + "@1", fp + "@v*"):
             request = urllib.request.Request(url + bad, method="DELETE")
             with pytest.raises(urllib.error.HTTPError) as err:
@@ -885,7 +979,7 @@ def test_concurrent_mutation_and_query_stress(rng):
         while not stop.is_set():
             batch = local.integers(0, 2, size=(3, n)).astype(float)
             try:
-                out = _post(url + "/v1/explain", {
+                out = _post(url + "/v2/explain", {
                     "fingerprint": fp, "method": "classify",
                     "instances": batch.tolist(), "params": {"k": 1},
                 })
@@ -905,27 +999,27 @@ def test_concurrent_mutation_and_query_stress(rng):
         for round_no in range(8):
             planted = round_no % 2 == 0
             if planted:
-                info = _post(url + f"/v1/datasets/{fp}/points", {
+                info = _post(url + f"/v2/datasets/{fp}/points", {
                     "points": [p.tolist() for p in copies], "labels": labels,
                 })
             else:
-                info = _delete(url + f"/v1/datasets/{fp}/points", {
+                info = _delete(url + f"/v2/datasets/{fp}/points", {
                     "points": [p.tolist() for p in copies], "labels": labels,
                 })
             assert info["version"] == round_no + 1
             # The first sentinel query after the mutation response must
             # see the new version: planted -> its own copies win (1).
             expected = 1 if planted else QueryEngine(data, "hamming").classify(x, 1)
-            answer = _post(url + "/v1/explain", {
+            (answer,) = _post(url + "/v2/explain", {
                 "fingerprint": fp, "method": "classify",
-                "instance": x.tolist(), "params": {"k": 1},
-            })
+                "instances": [x.tolist()], "params": {"k": 1},
+            })["results"]
             assert answer["result"]["label"] == expected
             assert not answer["cached"]  # the version bump voided old entries
-            again = _post(url + "/v1/explain", {
+            (again,) = _post(url + "/v2/explain", {
                 "fingerprint": fp, "method": "classify",
-                "instance": x.tolist(), "params": {"k": 1},
-            })
+                "instances": [x.tolist()], "params": {"k": 1},
+            })["results"]
             assert again["cached"] and again["result"]["label"] == expected
     finally:
         stop.set()
@@ -973,11 +1067,12 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
         while not stop.is_set():
             x = local.integers(0, 2, size=n).astype(float).tolist()
             try:
-                out = _post(url + "/v1/explain", {
-                    "fingerprint": fp, "method": method, "instance": x,
+                out = _post(url + "/v2/explain", {
+                    "fingerprint": fp, "method": method, "instances": [x],
                     "params": {"k": 1, "metric": "hamming", "solver": "portfolio"},
                 })
-                result = out["result"]
+                (answer,) = out["results"]
+                result = answer["result"]
                 if method == "minimum_sr":
                     ok = (
                         isinstance(result.get("X"), list)
@@ -1002,11 +1097,11 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
         for round_no in range(4):
             planted = round_no % 2 == 0
             if planted:
-                info = _post(url + f"/v1/datasets/{fp}/points", {
+                info = _post(url + f"/v2/datasets/{fp}/points", {
                     "points": block.tolist(), "labels": [1, 0],
                 })
             else:
-                info = _delete(url + f"/v1/datasets/{fp}/points", {
+                info = _delete(url + f"/v2/datasets/{fp}/points", {
                     "points": block.tolist(), "labels": [1, 0],
                 })
             assert info["version"] == round_no + 1
