@@ -291,8 +291,6 @@ def _build_serve_service(args):
         snapshot_every=args.snapshot_every,
         log_stream=log_stream,
         solver_pool=args.solver_pool,
-        parallel_portfolio=args.parallel_portfolio,
-        race_workers=args.race_workers,
     )
 
 
@@ -509,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel-portfolio", action="store_true",
         help="race the portfolio's exact methods concurrently in a "
              "process pool (first exact answer wins; answers stay "
-             "bit-identical to the sequential race)",
+             "bit-identical to the sequential race; single-process only)",
     )
     serve_p.add_argument(
         "--race-workers", type=int, default=None, metavar="N",
@@ -544,7 +542,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """CLI entry point: dispatch the parsed subcommand, return its exit code."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "serve" and args.workers > 1 and (
+        args.parallel_portfolio or args.race_workers is not None
+    ):
+        # Cluster workers are daemonic and cannot fork race workers.
+        parser.error(
+            "serve: --parallel-portfolio and --race-workers are single-process "
+            "only; drop them or use --workers 1"
+        )
     handlers = {
         "table1": _cmd_table1,
         "figure": _cmd_figure,

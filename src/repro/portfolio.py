@@ -12,22 +12,30 @@ This module races them:
   in a fixed order by default, or **concurrently in a process pool**
   (``parallel=True``, via :class:`~repro.solvers.race.ProcessRacer`)
   where the first exact answer cancels the losers cooperatively
-  through the shared budget/cancel plumbing, with a hard-kill backstop;
+  through the shared budget/cancel plumbing, with a hard-kill backstop.
+  Both modes run the one attempt loop,
+  :func:`repro.solvers.race.attempts`, and share one skeleton here;
 * the first method to finish inside its budget supplies the exact
-  answer, stamped with a provenance record (which method won, which
-  were cancelled, what the budget was, how long each attempt ran);
+  answer, stamped with a provenance record (which method won — its
+  attempt listed last — which were cancelled or failed, what the
+  budget was, how long each attempt ran);
 * the winner's *witness* is then replaced by the **canonical witness**
   — the lexicographically smallest optimal reason set / flip set,
   exactly what the brute pipeline's enumeration order returns — so the
   portfolio's answer is bit-identical no matter which method won or
   how a parallel race was scheduled (``canonical`` records the rare
   budget-pressed fallback to the winner's own witness);
+* a member that raises unexpectedly is recorded as an ``error``
+  attempt and the race moves on;
 * if **every** exact method runs out of budget, the portfolio degrades
   to a polynomial *anytime* answer instead of failing: the
   Proposition-2 greedy for Minimum-SR (a genuine, just not necessarily
   minimum, sufficient reason) and the nearest training point of the
   opposite predicted class for counterfactuals (a genuine, just not
-  necessarily closest, counterfactual).
+  necessarily closest, counterfactual).  A race where nothing ran out
+  of time fails instead: with :class:`~repro.exceptions.SolverError`
+  when a member crashed, else with the members' own inapplicable
+  error.
 
 A warm :class:`~repro.solvers.sat.pool.SATSolverPool` may be passed so
 the SAT sweeps and the canonicalization probes reuse one incremental
@@ -52,15 +60,18 @@ from time import perf_counter
 
 import numpy as np
 
+from . import exceptions
 from ._validation import as_vector, check_odd_k
 from .exceptions import (
     ResourceLimitError,
+    SolverError,
     UnsupportedSettingError,
     ValidationError,
 )
 from .knn import Dataset, QueryEngine
 from .knn.engine import as_engine
 from .metrics import get_metric
+from .solvers.race import attempts, default_racer
 from .solvers.sat.pool import SATSolverPool
 
 #: exact Minimum-SR methods raced on the discrete k = 1 cell, in order.
@@ -71,12 +82,6 @@ CF_PORTFOLIO = {
     "hamming": ("hamming-milp", "hamming-sat", "hamming-brute"),
     "l1": ("l1-milp",),
     "l2": ("l2-qp",),
-}
-
-#: exception types a race worker may report for an "unsupported" attempt.
-_UNSUPPORTED_TYPES = {
-    "UnsupportedSettingError": UnsupportedSettingError,
-    "ValidationError": ValidationError,
 }
 
 
@@ -134,17 +139,7 @@ def _pool_fingerprint(
     return dataset_fingerprint(dataset)
 
 
-def _canonical_msr(
-    result,
-    dataset: Dataset,
-    k: int,
-    metric,
-    x: np.ndarray,
-    engine: QueryEngine,
-    solver_pool: SATSolverPool | None,
-    fingerprint: str | None,
-    budget: float | None,
-):
+def _canonical_msr(result, task: dict):
     """Replace an exact Minimum-SR winner's witness by the canonical one.
 
     Returns ``(result, canonical)``.  Brute answers are canonical by
@@ -155,34 +150,24 @@ def _canonical_msr(
     """
     from .abductive.minimum import MinimumSRResult, minimum_sr_canonical_witness
 
-    if metric.name != "hamming" or k != 1 or result.method == "brute":
+    if task["metric"] != "hamming" or task["k"] != 1 or result.method == "brute":
         return result, True
     try:
         X = minimum_sr_canonical_witness(
-            dataset,
-            x,
-            engine,
+            task["dataset"],
+            task["x"],
+            task["engine"],
             result.size,
-            solver_pool=solver_pool,
-            fingerprint=fingerprint,
-            time_limit=budget,
+            solver_pool=task["solver_pool"],
+            fingerprint=task["fingerprint"],
+            time_limit=task["budget"],
         )
     except ResourceLimitError:
         return result, False
     return MinimumSRResult(X=X, size=result.size, method=result.method), True
 
 
-def _canonical_cf(
-    result,
-    dataset: Dataset,
-    k: int,
-    metric,
-    x: np.ndarray,
-    engine: QueryEngine,
-    solver_pool: SATSolverPool | None,
-    fingerprint: str | None,
-    budget: float | None,
-):
+def _canonical_cf(result, task: dict):
     """Replace an exact counterfactual winner's point by the canonical one.
 
     Returns ``(result, canonical)``.  Non-Hamming cells have a single
@@ -197,30 +182,30 @@ def _canonical_cf(
     from .counterfactual.brute import closest_counterfactual_hamming_brute
     from .counterfactual.hamming_sat import counterfactual_canonical_witness
 
-    if metric.name != "hamming" or result.y is None or result.method == "hamming-brute":
+    if task["metric"] != "hamming" or result.y is None or result.method == "hamming-brute":
         return result, True
-    if k == 1:
+    if task["k"] == 1:
         try:
             y = counterfactual_canonical_witness(
-                dataset,
-                x,
+                task["dataset"],
+                task["x"],
                 result.distance,
-                solver_pool=solver_pool,
-                fingerprint=fingerprint,
-                query_engine=engine,
-                time_limit=budget,
+                solver_pool=task["solver_pool"],
+                fingerprint=task["fingerprint"],
+                query_engine=task["engine"],
+                time_limit=task["budget"],
             )
         except ResourceLimitError:
             return result, False
     else:
         try:
             redo = closest_counterfactual_hamming_brute(
-                dataset,
-                k,
-                x,
+                task["dataset"],
+                task["k"],
+                task["x"],
                 max_distance=int(result.distance),
-                query_engine=engine,
-                time_limit=budget,
+                query_engine=task["engine"],
+                time_limit=task["budget"],
             )
         except (ResourceLimitError, ValidationError):
             return result, False
@@ -237,55 +222,89 @@ def _canonical_cf(
     return canonical, True
 
 
-def _race_parallel(
-    kind: str,
-    dataset: Dataset,
-    k: int,
-    metric,
-    x: np.ndarray,
-    methods: tuple[str, ...],
-    budget: float | None,
-    stagger: dict[str, float] | None,
+def _instance(dataset: Dataset, k: int, metric, x):
+    """Validate one portfolio query: ``(k, metric, x)`` resolved and checked."""
+    k = check_odd_k(k)
+    metric = get_metric(metric)
+    xv = as_vector(x, name="x")
+    if xv.shape[0] != dataset.dimension:
+        raise ValidationError(
+            f"x has dimension {xv.shape[0]}, dataset has {dataset.dimension}"
+        )
+    return k, metric, xv
+
+
+def _race(
+    task: dict,
+    local: dict,
+    *,
+    parallel: bool,
     racer,
-    extra: dict | None,
-):
-    """Run the process race; returns the outcome or None to go sequential."""
-    from .solvers.race import default_racer
+    stagger: dict[str, float] | None,
+    canonicalize,
+    anytime,
+) -> PortfolioResult:
+    """Race *task*'s methods, sequentially or in the process pool, and shape the result.
 
-    racer = racer if racer is not None else default_racer()
-    return racer.race(
-        kind,
-        dataset,
-        k,
-        metric.name,
-        x,
-        tuple(methods),
-        budget=budget,
-        stagger=stagger,
-        extra=extra,
+    Both modes produce their attempts from the one loop,
+    :func:`repro.solvers.race.attempts`: the racer streams it from its
+    workers, and sequential mode (or a racer with no free worker) runs
+    it here with the in-process-only keys in *local* (shared engine,
+    warm solver pool, anytime knobs).  The winner's attempt goes last
+    and its answer is canonicalized.  With no winner the race degrades
+    to the *anytime* answer — unless nothing timed out or was
+    cancelled: then it raises :class:`~repro.exceptions.SolverError`
+    if a member crashed, else the members' own inapplicable error.
+    """
+    budget = task["budget"]
+    here = {**task, **local}
+    here["fingerprint"] = _pool_fingerprint(
+        task["dataset"], local["solver_pool"], local["fingerprint"]
     )
-
-
-def _attempts_from_race(outcome, budget: float | None) -> list[PortfolioAttempt]:
-    """Convert race attempts to provenance records, winner last."""
+    start = perf_counter()
+    outcome = None
+    if parallel and not (budget is not None and budget <= 0):
+        racer = racer if racer is not None else default_racer()
+        outcome = racer.race({**task, "stagger": dict(stagger or {})})
+    if outcome is not None:
+        mode, tried, winner = "parallel", list(outcome.attempts), outcome.winner
+    else:
+        mode, tried = "sequential", list(attempts(here))
+        winner = tried[-1] if tried and tried[-1].status == "exact" else None
+    last = getattr(winner, "method", None)
     records = [
         PortfolioAttempt(a.method, budget, a.elapsed_s, a.status, a.detail)
-        for a in outcome.attempts
+        for a in sorted(tried, key=lambda a: a.method == last)  # the winner goes last
     ]
-    if outcome.winner is not None:
-        records.sort(key=lambda a: a.status == "exact")
-    return records
-
-
-def _raise_race_failure(outcome, methods: tuple[str, ...]) -> None:
-    """Re-raise all-inapplicable or worker-error races like the sequential path."""
-    by_status = {a.status for a in outcome.attempts}
-    if by_status <= {"unsupported"}:
-        last = next(a for a in reversed(outcome.attempts) if a.status == "unsupported")
-        raise _UNSUPPORTED_TYPES.get(last.exc_type, UnsupportedSettingError)(last.detail)
-    if "timeout" not in by_status and "cancelled" not in by_status and "error" in by_status:
-        bad = next(a for a in outcome.attempts if a.status == "error")
-        raise RuntimeError(f"race worker failed on {bad.method}: {bad.detail}")
+    if winner is not None:
+        answer, canonical = canonicalize(winner.answer, here)
+    else:
+        if tried and not any(a.status in ("timeout", "cancelled") for a in tried):
+            # Nothing ran out of time: an input problem or a crash, not
+            # budget pressure, so fail instead of degrading silently.
+            crashed = [a for a in tried if a.status == "error"]
+            if crashed:
+                raise SolverError(
+                    f"portfolio member {crashed[0].method} failed: {crashed[0].detail}"
+                )
+            inapplicable = getattr(exceptions, tried[-1].exc_type, UnsupportedSettingError)
+            raise inapplicable(tried[-1].detail)
+        t0 = perf_counter()
+        answer, detail = anytime(here)
+        records.append(
+            PortfolioAttempt(answer.method, None, perf_counter() - t0, "anytime", detail)
+        )
+        canonical = False
+    return PortfolioResult(
+        answer=answer,
+        method=answer.method,
+        budget_s=budget,
+        elapsed_s=perf_counter() - start,
+        exact=winner is not None,
+        attempts=tuple(records),
+        mode=mode,
+        canonical=canonical,
+    )
 
 
 def portfolio_minimum_sufficient_reason(
@@ -321,141 +340,24 @@ def portfolio_minimum_sufficient_reason(
     the canonical lex-min witness, so they are bit-identical across
     modes, method subsets and race schedules.
     """
-    from .abductive.minimum import (
-        minimum_sat_hamming_k1_pooled,
-        minimum_sufficient_reason,
-    )
-
-    k = check_odd_k(k)
-    metric = get_metric(metric)
-    xv = as_vector(x, name="x")
-    if xv.shape[0] != dataset.dimension:
-        raise ValidationError(
-            f"x has dimension {xv.shape[0]}, dataset has {dataset.dimension}"
-        )
+    k, metric, xv = _instance(dataset, k, metric, x)
     engine = as_engine(dataset, metric, engine)
     if methods is None:
         methods = (
             MSR_PORTFOLIO if (metric.name == "hamming" and k == 1) else ("brute",)
         )
-    fingerprint = _pool_fingerprint(dataset, solver_pool, fingerprint)
-    start = perf_counter()
-    attempts: list[PortfolioAttempt] = []
-    last_unsupported: Exception | None = None
-    mode = "sequential"
-    if parallel and not (budget is not None and budget <= 0):
-        outcome = _race_parallel(
-            "msr", dataset, k, metric, xv, methods, budget, stagger, racer,
-            {"max_brute_dimension": max_brute_dimension},
-        )
-        if outcome is not None:
-            mode = "parallel"
-            attempts = _attempts_from_race(outcome, budget)
-            if outcome.winner is not None:
-                answer, canonical = _canonical_msr(
-                    outcome.winner.answer, dataset, k, metric, xv, engine,
-                    solver_pool, fingerprint, budget,
-                )
-                return PortfolioResult(
-                    answer=answer,
-                    method=answer.method,
-                    budget_s=budget,
-                    elapsed_s=perf_counter() - start,
-                    exact=True,
-                    attempts=tuple(attempts),
-                    mode=mode,
-                    canonical=canonical,
-                )
-            _raise_race_failure(outcome, methods)
-            return _msr_anytime(
-                dataset, k, metric, xv, engine, budget, restarts, seed,
-                attempts, start, mode,
-            )
-    for method in methods:
-        if budget is not None and budget <= 0:
-            attempts.append(PortfolioAttempt(
-                method, budget, 0.0, "timeout", "per-method budget is zero"
-            ))
-            continue
-        t0 = perf_counter()
-        try:
-            if method == "sat" and solver_pool is not None and (
-                metric.name == "hamming" and k == 1
-            ):
-                result = minimum_sat_hamming_k1_pooled(
-                    dataset, xv, engine,
-                    solver_pool=solver_pool, fingerprint=fingerprint,
-                    time_limit=budget,
-                )
-            else:
-                result = minimum_sufficient_reason(
-                    dataset, k, metric, xv,
-                    method=method, engine=engine, time_limit=budget,
-                    max_brute_dimension=max_brute_dimension,
-                )
-        except ResourceLimitError as exc:
-            attempts.append(PortfolioAttempt(
-                method, budget, perf_counter() - t0, "timeout", str(exc)
-            ))
-            continue
-        except (UnsupportedSettingError, ValidationError) as exc:
-            attempts.append(PortfolioAttempt(
-                method, budget, perf_counter() - t0, "unsupported", str(exc)
-            ))
-            last_unsupported = exc
-            continue
-        attempts.append(PortfolioAttempt(method, budget, perf_counter() - t0, "exact"))
-        answer, canonical = _canonical_msr(
-            result, dataset, k, metric, xv, engine, solver_pool, fingerprint, budget
-        )
-        return PortfolioResult(
-            answer=answer,
-            method=answer.method,
-            budget_s=budget,
-            elapsed_s=perf_counter() - start,
-            exact=True,
-            attempts=tuple(attempts),
-            mode=mode,
-            canonical=canonical,
-        )
-    if last_unsupported is not None and not any(
-        a.status in ("timeout", "cancelled") for a in attempts
-    ):
-        # Nothing timed out — every member was inapplicable.  That is an
-        # input problem, not budget pressure, so fail like the
-        # single-method entry points instead of degrading silently.
-        raise last_unsupported
-    return _msr_anytime(
-        dataset, k, metric, xv, engine, budget, restarts, seed, attempts, start, mode
-    )
-
-
-def _msr_anytime(
-    dataset, k, metric, xv, engine, budget, restarts, seed, attempts, start, mode
-) -> PortfolioResult:
-    """The Proposition-2 greedy degradation shared by both race modes."""
-    from .abductive.approximate import approximate_minimum_sufficient_reason
-    from .abductive.minimum import MinimumSRResult
-
-    t0 = perf_counter()
-    approx = approximate_minimum_sufficient_reason(
-        dataset, k, metric, xv, engine=engine, restarts=restarts, seed=seed
-    )
-    answer = MinimumSRResult(X=approx.X, size=approx.size, method="greedy-anytime")
-    attempts = list(attempts)
-    attempts.append(PortfolioAttempt(
-        "greedy-anytime", None, perf_counter() - t0, "anytime",
-        f"upper bound after {approx.restarts_used} greedy restarts",
-    ))
-    return PortfolioResult(
-        answer=answer,
-        method="greedy-anytime",
-        budget_s=budget,
-        elapsed_s=perf_counter() - start,
-        exact=False,
-        attempts=tuple(attempts),
-        mode=mode,
-        canonical=False,
+    task = {
+        "kind": "msr", "dataset": dataset, "k": k, "metric": metric.name, "x": xv,
+        "methods": tuple(methods), "budget": budget,
+        "max_brute_dimension": max_brute_dimension,
+    }
+    local = {
+        "engine": engine, "solver_pool": solver_pool, "fingerprint": fingerprint,
+        "restarts": restarts, "seed": seed,
+    }
+    return _race(
+        task, local, parallel=parallel, racer=racer, stagger=stagger,
+        canonicalize=_canonical_msr, anytime=_anytime_msr,
     )
 
 
@@ -485,16 +387,7 @@ def portfolio_closest_counterfactual(
     differs from ``f(x)`` — a genuine counterfactual whose distance
     upper-bounds the optimum.
     """
-    from .counterfactual import closest_counterfactual
-    from .counterfactual.hamming_sat import closest_counterfactual_hamming_sat_pooled
-
-    k = check_odd_k(k)
-    metric = get_metric(metric)
-    xv = as_vector(x, name="x")
-    if xv.shape[0] != dataset.dimension:
-        raise ValidationError(
-            f"x has dimension {xv.shape[0]}, dataset has {dataset.dimension}"
-        )
+    k, metric, xv = _instance(dataset, k, metric, x)
     engine = as_engine(dataset, metric, query_engine)
     if methods is None:
         methods = CF_PORTFOLIO.get(metric.name)
@@ -502,113 +395,35 @@ def portfolio_closest_counterfactual(
             raise UnsupportedSettingError(
                 f"no portfolio members for metric {metric.name!r}; pass methods="
             )
-    fingerprint = _pool_fingerprint(dataset, solver_pool, fingerprint)
-    start = perf_counter()
-    attempts: list[PortfolioAttempt] = []
-    last_unsupported: Exception | None = None
-    mode = "sequential"
-    if parallel and not (budget is not None and budget <= 0):
-        outcome = _race_parallel(
-            "cf", dataset, k, metric, xv, methods, budget, stagger, racer, None
-        )
-        if outcome is not None:
-            mode = "parallel"
-            attempts = _attempts_from_race(outcome, budget)
-            if outcome.winner is not None:
-                answer, canonical = _canonical_cf(
-                    outcome.winner.answer, dataset, k, metric, xv, engine,
-                    solver_pool, fingerprint, budget,
-                )
-                return PortfolioResult(
-                    answer=answer,
-                    method=answer.method,
-                    budget_s=budget,
-                    elapsed_s=perf_counter() - start,
-                    exact=True,
-                    attempts=tuple(attempts),
-                    mode=mode,
-                    canonical=canonical,
-                )
-            _raise_race_failure(outcome, methods)
-            return _cf_anytime(dataset, k, metric, xv, engine, budget, attempts, start, mode)
-    for method in methods:
-        if budget is not None and budget <= 0:
-            attempts.append(PortfolioAttempt(
-                method, budget, 0.0, "timeout", "per-method budget is zero"
-            ))
-            continue
-        t0 = perf_counter()
-        try:
-            if method == "hamming-sat" and solver_pool is not None and k == 1:
-                result = closest_counterfactual_hamming_sat_pooled(
-                    dataset, k, xv,
-                    solver_pool=solver_pool, fingerprint=fingerprint,
-                    query_engine=engine, time_limit=budget,
-                )
-            else:
-                result = closest_counterfactual(
-                    dataset, k, metric, xv,
-                    method=method, query_engine=engine, time_limit=budget,
-                )
-        except ResourceLimitError as exc:
-            attempts.append(PortfolioAttempt(
-                method, budget, perf_counter() - t0, "timeout", str(exc)
-            ))
-            continue
-        except (UnsupportedSettingError, ValidationError) as exc:
-            attempts.append(PortfolioAttempt(
-                method, budget, perf_counter() - t0, "unsupported", str(exc)
-            ))
-            last_unsupported = exc
-            continue
-        attempts.append(PortfolioAttempt(method, budget, perf_counter() - t0, "exact"))
-        answer, canonical = _canonical_cf(
-            result, dataset, k, metric, xv, engine, solver_pool, fingerprint, budget
-        )
-        return PortfolioResult(
-            answer=answer,
-            method=answer.method,
-            budget_s=budget,
-            elapsed_s=perf_counter() - start,
-            exact=True,
-            attempts=tuple(attempts),
-            mode=mode,
-            canonical=canonical,
-        )
-    if last_unsupported is not None and not any(
-        a.status in ("timeout", "cancelled") for a in attempts
-    ):
-        raise last_unsupported  # all members inapplicable: an input problem
-    return _cf_anytime(dataset, k, metric, xv, engine, budget, attempts, start, mode)
-
-
-def _cf_anytime(
-    dataset, k, metric, xv, engine, budget, attempts, start, mode
-) -> PortfolioResult:
-    """The nearest-training degradation shared by both race modes."""
-    t0 = perf_counter()
-    answer = _anytime_counterfactual(dataset, k, metric, xv, engine)
-    attempts = list(attempts)
-    attempts.append(PortfolioAttempt(
-        "nearest-training-anytime", None, perf_counter() - t0, "anytime",
-        "nearest opposite-predicted training point (distance upper bound)",
-    ))
-    return PortfolioResult(
-        answer=answer,
-        method="nearest-training-anytime",
-        budget_s=budget,
-        elapsed_s=perf_counter() - start,
-        exact=False,
-        attempts=tuple(attempts),
-        mode=mode,
-        canonical=False,
+    task = {
+        "kind": "cf", "dataset": dataset, "k": k, "metric": metric.name, "x": xv,
+        "methods": tuple(methods), "budget": budget,
+    }
+    local = {"engine": engine, "solver_pool": solver_pool, "fingerprint": fingerprint}
+    return _race(
+        task, local, parallel=parallel, racer=racer, stagger=stagger,
+        canonicalize=_canonical_cf, anytime=_anytime_counterfactual,
     )
 
 
-def _anytime_counterfactual(
-    dataset: Dataset, k: int, metric, x: np.ndarray, engine: QueryEngine
-):
-    """Nearest training point classified unlike ``x`` — a polynomial fallback.
+def _anytime_msr(task: dict):
+    """The Proposition-2 greedy fallback: ``(answer, detail)``.
+
+    A genuine sufficient reason whose size upper-bounds the optimum.
+    """
+    from .abductive.approximate import approximate_minimum_sufficient_reason
+    from .abductive.minimum import MinimumSRResult
+
+    approx = approximate_minimum_sufficient_reason(
+        task["dataset"], task["k"], task["metric"], task["x"],
+        engine=task["engine"], restarts=task["restarts"], seed=task["seed"],
+    )
+    answer = MinimumSRResult(X=approx.X, size=approx.size, method="greedy-anytime")
+    return answer, f"upper bound after {approx.restarts_used} greedy restarts"
+
+
+def _anytime_counterfactual(task: dict):
+    """Nearest training point classified unlike ``x``: ``(answer, detail)``.
 
     Any point the classifier itself sends to the other class is a
     counterfactual; among the training points we take the one closest
@@ -618,29 +433,33 @@ def _anytime_counterfactual(
     """
     from .counterfactual import CounterfactualResult
 
+    x, k, engine = task["x"], task["k"], task["engine"]
+    detail = "nearest opposite-predicted training point (distance upper bound)"
     label = engine.classify(x, k)
-    expanded = dataset.expanded()
+    expanded = task["dataset"].expanded()
     blocks = [p for p in (expanded.positives, expanded.negatives) if p.shape[0]]
     points = np.vstack(blocks)
     flipped = np.flatnonzero(engine.classify_batch(points, k) != label)
     if flipped.size == 0:
         # One-class predictions everywhere: no counterfactual exists
         # among training points (matches the exact solvers on constant f).
-        return CounterfactualResult(
+        answer = CounterfactualResult(
             y=None, distance=np.inf, infimum=np.inf, label_from=label,
             method="nearest-training-anytime",
         )
+        return answer, detail
     candidates = points[flipped]
-    powers = metric.powers_to(candidates, x)  # monotone surrogate of distance
+    powers = engine.metric.powers_to(candidates, x)  # monotone surrogate of distance
     y = candidates[int(np.argmin(powers))].astype(float)
-    distance = float(metric.distance(x, y))
-    return CounterfactualResult(
+    distance = float(engine.metric.distance(x, y))
+    answer = CounterfactualResult(
         y=y,
         distance=distance,
         infimum=distance,
         label_from=label,
         method="nearest-training-anytime",
     )
+    return answer, detail
 
 
 __all__ = [

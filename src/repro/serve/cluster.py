@@ -42,7 +42,6 @@ class *name* and are re-raised at the front as the same
 
 from __future__ import annotations
 
-import multiprocessing
 import queue
 import sys
 import threading
@@ -52,6 +51,7 @@ from typing import Sequence
 from .. import exceptions as _exceptions
 from ..exceptions import OverloadedError, SolverError, UnknownDatasetError
 from ..knn import Dataset, MultiClassDataset
+from ..solvers.race import preferred_context
 from .cache import dataset_fingerprint, split_fingerprint
 from .metrics import MetricsRegistry, StructuredLogger, render_states
 from .service import ExplanationService
@@ -61,12 +61,6 @@ _CONTROL_OPS = frozenset(
     {"add_dataset", "mutate", "remove_dataset", "describe", "stats",
      "fingerprints", "metrics", "ping", "shutdown"}
 )
-
-
-def _preferred_start_method() -> str:
-    """``fork`` where the platform offers it (fast start), else ``spawn``."""
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
 
 
 def _rebuild_exception(type_name: str, message: str) -> BaseException:
@@ -149,8 +143,6 @@ def _worker_main(conn, config: dict, front_ends=()) -> None:
         snapshot_every=config.get("snapshot_every", 64),
         log_stream=sys.stderr if config.get("log") else None,
         solver_pool=config.get("solver_pool", 32),
-        parallel_portfolio=config.get("parallel_portfolio", False),
-        race_workers=config.get("race_workers"),
     )
     while True:
         try:
@@ -345,9 +337,10 @@ class ClusterService:
     log_stream:
         optional stream for the *front's* structured JSON logs; when
         set, workers log to their (inherited) ``stderr``.
-    start_method:
-        :mod:`multiprocessing` start method (default: ``fork`` where
-        available, else ``spawn``).
+
+    Worker processes start with ``fork`` where the platform has it,
+    else ``spawn``.  They are daemonic, so they cannot fork race
+    workers of their own: the parallel portfolio is single-process only.
     """
 
     def __init__(
@@ -363,10 +356,7 @@ class ClusterService:
         state_dir=None,
         snapshot_every: int = 64,
         log_stream=None,
-        start_method: str | None = None,
         solver_pool: int = 32,
-        parallel_portfolio: bool = False,
-        race_workers: int | None = None,
     ):
         self.n_workers = max(1, int(workers))
         self.replicas = min(self.n_workers, max(1, int(replicas)))
@@ -376,8 +366,8 @@ class ClusterService:
         self.state_dir = state_dir
         self.log = StructuredLogger(log_stream, component="cluster")
         self.metrics = MetricsRegistry()
-        self.start_method = start_method or _preferred_start_method()
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = preferred_context()
+        self.start_method = ctx.get_start_method()
         self._workers = []
         for index in range(self.n_workers):
             worker_cache_dir = (
@@ -395,8 +385,6 @@ class ClusterService:
                 "snapshot_every": int(snapshot_every),
                 "log": log_stream is not None,
                 "solver_pool": int(solver_pool),
-                "parallel_portfolio": bool(parallel_portfolio),
-                "race_workers": race_workers,
             }
             self._workers.append(_Worker(index, config, self.queue_depth, ctx, self._workers))
         # Every fork happened above, before any front thread exists; only

@@ -183,7 +183,8 @@ class ExplanationService:
         (:class:`~repro.solvers.race.ProcessRacer`, spawned eagerly in
         the constructor, before any serving thread exists) instead of
         sequentially.  Answers are bit-identical either way — the
-        portfolio always returns the canonical witness.
+        portfolio always returns the canonical witness.  Single-process
+        only: a cluster worker is daemonic and cannot fork race workers.
     race_workers:
         worker processes of the parallel-portfolio racer (default
         ``min(3, cpu_count)``); ignored unless *parallel_portfolio*.

@@ -1,112 +1,162 @@
-"""Process-level racing for the exact solver portfolio.
+"""The portfolio's one attempt loop, run in process or raced across processes.
 
-The sequential portfolio tries exact methods one after another; this
-module runs them *concurrently* in a small pool of persistent worker
-processes and returns as soon as the first exact answer lands.  Losers
-are cancelled cooperatively: every worker carries a shared
-``multiprocessing.Event`` that the parent sets once a winner is known,
-and the workers install it into :mod:`repro._budget`, so every budget
-checkpoint inside the SAT/brute pipelines doubles as a cancellation
-point (the attempt unwinds through the usual
+:func:`attempts` runs a task's exact methods in order, classifies each
+outcome as ``exact``, ``timeout``, ``cancelled``, ``unsupported`` or
+``error`` (a member's unexpected exception never escapes the loop) and
+stops at the first exact answer.  The sequential portfolio runs it in
+process; :class:`ProcessRacer` runs it in a small pool of persistent
+worker processes, one slice of the methods per worker, streams every
+attempt back to the parent, and returns as soon as the first exact
+answer lands.  Losers are cancelled cooperatively: every worker carries
+a shared ``multiprocessing.Event`` that the parent sets once a winner
+is known, and the workers install it into :mod:`repro._budget`, so
+every budget checkpoint inside the SAT/brute pipelines doubles as a
+cancellation point (the attempt unwinds through the usual
 :class:`~repro.exceptions.ResourceLimitError` path).  Methods that
 cannot observe the event mid-solve — scipy's MILP runs to completion —
 are covered by a hard-kill backstop after a grace window, and the
 killed worker is respawned lazily before the next race.
 
-Budget accounting is per attempt *in the worker*: each method converts
-its budget to a deadline when it actually starts, so a cancelled or
-timed-out attempt never burns the next attempt's budget; the parent
-separately enforces an overall race wall derived from the worst-case
-per-worker schedule plus the grace window.
+Budget accounting is per attempt: each method converts its budget to a
+deadline when it actually starts, so a cancelled or timed-out attempt
+never burns the next attempt's budget; the parent separately enforces
+an overall race wall derived from the worst-case per-worker schedule
+plus the grace window.
 
 Workers are allocated per race and methods are dealt round-robin, so
 the racer degrades gracefully: with at least as many free workers as
 methods every method runs concurrently; with one worker the race is
 sequential-in-child; with zero free workers :meth:`ProcessRacer.race`
-returns ``None`` and the caller falls back to the in-process
-sequential racer.
+returns ``None`` and the caller runs :func:`attempts` in process.
 """
 
 from __future__ import annotations
 
 import atexit
+import multiprocessing
 import os
 import signal
 import threading
 import time
 from dataclasses import dataclass
-from multiprocessing import connection, get_context
-from typing import Any
+from multiprocessing import connection
+from typing import Any, Iterator
 
 from ..exceptions import ResourceLimitError, UnsupportedSettingError, ValidationError
 
-__all__ = ["ProcessRacer", "RaceAttempt", "RaceOutcome", "default_racer"]
+__all__ = ["ProcessRacer", "RaceAttempt", "RaceOutcome", "attempts", "default_racer"]
 
 # Slack added to the parent's overall race wall on top of the summed
 # per-attempt budgets: covers task pickling and scheduling latency.
 _SCHEDULING_SLACK_S = 0.25
 
+# How long cancelled losers get to report before they are hard-killed.
+_GRACE_S = 1.0
 
-def _pick_start_method(explicit: str | None) -> str:
-    """Resolve the multiprocessing start method for race workers.
 
-    Priority: explicit argument, then the ``REPRO_RACE_START_METHOD``
-    environment variable, then ``fork`` where the platform offers it
-    (workers inherit the imported solver stack for free) with ``spawn``
-    as the portable fallback.
+def preferred_context():
+    """The context worker pools start from: ``fork`` where the platform has it, else ``spawn``.
+
+    Forked workers inherit the imported solver stack for free; both the
+    race pool and the serving cluster start their processes from here.
     """
-    if explicit:
-        return explicit
-    env = os.environ.get("REPRO_RACE_START_METHOD", "").strip()
-    if env:
-        return env
-    import multiprocessing
-
-    return "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
+    methods = multiprocessing.get_all_start_methods()
+    return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def _run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any:
-    """Run one exact method inside a worker; returns the answer object.
+def run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any:
+    """Run one exact *method* of *task*; returns the pipeline's answer.
 
-    Imports are local: this executes in the worker process, and keeping
-    them out of module scope avoids an import cycle between
-    :mod:`repro.solvers` and the pipelines that build on it.
+    In-process tasks carry the shared ``engine`` and may carry a warm
+    ``solver_pool`` (with its ``fingerprint``), which routes the k = 1
+    SAT members through their pooled variants; worker tasks carry
+    neither.  Imports are local: :mod:`repro.solvers` sits below the
+    pipelines that build on it.
     """
-    from ..abductive.minimum import minimum_sufficient_reason
+    from ..abductive.minimum import minimum_sat_hamming_k1_pooled, minimum_sufficient_reason
     from ..counterfactual import closest_counterfactual
+    from ..counterfactual.hamming_sat import closest_counterfactual_hamming_sat_pooled
 
-    extra = task.get("extra") or {}
+    dataset, k, metric, x = task["dataset"], task["k"], task["metric"], task["x"]
+    engine, pool = task.get("engine"), task.get("solver_pool")
+    pooled = pool is not None and k == 1
     if task["kind"] == "msr":
+        if pooled and method == "sat" and metric == "hamming":
+            return minimum_sat_hamming_k1_pooled(
+                dataset, x, engine,
+                solver_pool=pool, fingerprint=task["fingerprint"], time_limit=budget,
+            )
         return minimum_sufficient_reason(
-            task["dataset"],
-            task["k"],
-            task["metric"],
-            task["x"],
-            method=method,
-            time_limit=budget,
-            max_brute_dimension=extra.get("max_brute_dimension", 18),
+            dataset, k, metric, x,
+            method=method, engine=engine, time_limit=budget,
+            max_brute_dimension=task["max_brute_dimension"],
+        )
+    if pooled and method == "hamming-sat":
+        return closest_counterfactual_hamming_sat_pooled(
+            dataset, k, x,
+            solver_pool=pool, fingerprint=task["fingerprint"],
+            query_engine=engine, time_limit=budget,
         )
     return closest_counterfactual(
-        task["dataset"],
-        task["k"],
-        task["metric"],
-        task["x"],
-        method=method,
-        time_limit=budget,
+        dataset, k, metric, x, method=method, query_engine=engine, time_limit=budget
     )
 
 
-def _worker_main(conn: Any, cancel_event: Any, parent_ends: Any = ()) -> None:
-    """Race worker loop: receive a task, run its methods, report each.
+def _status(exc: Exception, cancel: Any) -> str:
+    """Classify a failed attempt by the exception it raised."""
+    if isinstance(exc, ResourceLimitError):
+        return "cancelled" if cancel.is_set() else "timeout"
+    if isinstance(exc, (UnsupportedSettingError, ValidationError)):
+        return "unsupported"
+    return "error"
 
-    One message per attempt (``("attempt", task_id, method, status,
-    elapsed, detail, exc_type, answer)``) followed by a terminal
-    ``("done", task_id)``.  The shared *cancel_event* is installed into
-    :mod:`repro._budget` once, cleared at the start of every task, and
-    consulted before each method (and during stagger sleeps) so a race
-    already decided skips the remaining methods instantly.
-    *parent_ends* are the parent-side pipe ends a forked worker
-    inherited; they are closed first, so a dead parent reads as EOF.
+
+def attempts(task: dict[str, Any], cancel: Any = None) -> Iterator[RaceAttempt]:
+    """Run *task*'s methods in order, yielding one attempt each, up to the first exact.
+
+    A task names the problem (``kind`` ``"msr"`` or ``"cf"``,
+    ``dataset``, ``k``, ``metric`` name, ``x``, and for Minimum-SR
+    ``max_brute_dimension``), the ``methods`` to try, the per-method
+    ``budget`` (seconds, None = no cap), optional per-method ``stagger``
+    start delays, and the in-process-only keys :func:`run_attempt`
+    reads.  *cancel* is the race's cancel event (a race worker's shared
+    one; in process, a private event nobody sets): once set, the
+    remaining methods report ``cancelled`` without starting.
+    """
+    cancel = cancel if cancel is not None else threading.Event()
+    budget = task["budget"]
+    stagger = task.get("stagger") or {}
+    for method in task["methods"]:
+        if cancel.is_set():
+            yield RaceAttempt(method, "cancelled", 0.0, "cancelled before start")
+            continue
+        if budget is not None and budget <= 0:
+            yield RaceAttempt(method, "timeout", 0.0, "per-method budget is zero")
+            continue
+        delay = float(stagger.get(method, 0.0))
+        if delay > 0.0 and cancel.wait(delay):
+            yield RaceAttempt(method, "cancelled", 0.0, "cancelled during stagger")
+            continue
+        started = time.perf_counter()
+        try:
+            answer = run_attempt(task, method, budget)
+        except Exception as exc:  # noqa: BLE001 - classified; never fatal to the race
+            elapsed = time.perf_counter() - started
+            yield RaceAttempt(
+                method, _status(exc, cancel), elapsed, str(exc), type(exc).__name__
+            )
+            continue
+        yield RaceAttempt(method, "exact", time.perf_counter() - started, answer=answer)
+        return
+
+
+def _worker_main(conn: Any, cancel_event: Any, parent_ends: Any = ()) -> None:
+    """Race worker loop: receive a task, stream its :func:`attempts`, then ``None``.
+
+    The shared *cancel_event* is installed into :mod:`repro._budget`
+    once; the parent clears it before sending each task.  *parent_ends*
+    are the parent-side pipe ends a forked worker inherited; they are
+    closed first, so a dead parent reads as EOF.
     """
     from .._budget import install_cancel_event
 
@@ -123,58 +173,9 @@ def _worker_main(conn: Any, cancel_event: Any, parent_ends: Any = ()) -> None:
             break
         if task is None:
             break
-        cancel_event.clear()
-        task_id = task["task"]
-        budget = task["budget"]
-        stagger = task.get("stagger") or {}
-        for method in task["methods"]:
-            if cancel_event.is_set():
-                conn.send(
-                    ("attempt", task_id, method, "cancelled", 0.0,
-                     "cancelled before start", "", None)
-                )
-                continue
-            delay = float(stagger.get(method, 0.0))
-            if delay > 0.0 and cancel_event.wait(delay):
-                conn.send(
-                    ("attempt", task_id, method, "cancelled", 0.0,
-                     "cancelled during stagger", "", None)
-                )
-                continue
-            started = time.perf_counter()
-            try:
-                answer = _run_attempt(task, method, budget)
-            except ResourceLimitError as exc:
-                elapsed = time.perf_counter() - started
-                status = "cancelled" if cancel_event.is_set() else "timeout"
-                conn.send(
-                    ("attempt", task_id, method, status, elapsed,
-                     str(exc), type(exc).__name__, None)
-                )
-            except (UnsupportedSettingError, ValidationError) as exc:
-                elapsed = time.perf_counter() - started
-                conn.send(
-                    (
-                        "attempt",
-                        task_id,
-                        method,
-                        "unsupported",
-                        elapsed,
-                        str(exc),
-                        type(exc).__name__,
-                        None,
-                    )
-                )
-            except Exception as exc:  # noqa: BLE001 - reported, never fatal to the pool
-                elapsed = time.perf_counter() - started
-                conn.send(
-                    ("attempt", task_id, method, "error", elapsed,
-                     str(exc), type(exc).__name__, None)
-                )
-            else:
-                elapsed = time.perf_counter() - started
-                conn.send(("attempt", task_id, method, "exact", elapsed, "", "", answer))
-        conn.send(("done", task_id))
+        for attempt in attempts(task, cancel_event):
+            conn.send(attempt)
+        conn.send(None)
     conn.close()
 
 
@@ -229,19 +230,11 @@ class ProcessRacer:
     to sequential racing instead of blocking.
     """
 
-    def __init__(
-        self,
-        *,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-        grace_s: float = 1.0,
-    ) -> None:
+    def __init__(self, *, max_workers: int | None = None) -> None:
         self.max_workers = int(max_workers or max(1, min(3, os.cpu_count() or 1)))
-        self.grace_s = float(grace_s)
-        self._ctx = get_context(_pick_start_method(start_method))
+        self._ctx = preferred_context()
         self._workers: list[_Worker] = []
         self._lock = threading.Lock()
-        self._task_seq = 0
         self._closed = False
         self._counters = {
             "races": 0,
@@ -310,46 +303,28 @@ class ProcessRacer:
 
     # -- racing --------------------------------------------------------
 
-    def race(
-        self,
-        kind: str,
-        dataset: Any,
-        k: int,
-        metric: str,
-        x: Any,
-        methods: tuple[str, ...],
-        *,
-        budget: float | None = None,
-        stagger: dict[str, float] | None = None,
-        extra: dict[str, Any] | None = None,
-    ) -> RaceOutcome | None:
-        """Race *methods* over the worker pool; first exact answer wins.
+    def race(self, task: dict[str, Any]) -> RaceOutcome | None:
+        """Race *task*'s methods over the worker pool; first exact answer wins.
 
-        Returns ``None`` when no worker is free (or the pool is closed)
-        so the caller can run the sequential racer inline instead.
-        ``stagger`` maps method names to artificial pre-start delays —
-        the determinism harness uses it to force arbitrary winners.
+        *task* is an :func:`attempts` task without the in-process-only
+        keys.  Returns ``None`` when no worker is free (or the pool is
+        closed) so the caller can run the attempts in process instead.
         """
-        stagger = dict(stagger or {})
+        methods = task["methods"]
         with self._lock:
             if self._closed:
                 return None
             self._ensure_workers()
-            idle = [w for w in self._workers if w.alive and not w.busy]
-            share = idle[: min(len(methods), len(idle))]
+            share = [w for w in self._workers if w.alive and not w.busy][: len(methods)]
             if not share:
                 self._counters["inline_fallbacks"] += 1
                 return None
             for worker in share:
                 worker.busy = True
-            self._task_seq += 1
-            task_id = self._task_seq
             self._counters["races"] += 1
             self._counters["attempts"] += len(methods)
         try:
-            outcome = self._drive(
-                task_id, share, kind, dataset, k, metric, x, methods, budget, stagger, extra
-            )
+            outcome = self._drive(share, task)
         finally:
             with self._lock:
                 for worker in share:
@@ -361,48 +336,25 @@ class ProcessRacer:
             self._counters["hard_kills"] += outcome.hard_kills
         return outcome
 
-    def _drive(
-        self,
-        task_id: int,
-        share: list[_Worker],
-        kind: str,
-        dataset: Any,
-        k: int,
-        metric: str,
-        x: Any,
-        methods: tuple[str, ...],
-        budget: float | None,
-        stagger: dict[str, float],
-        extra: dict[str, Any] | None,
-    ) -> RaceOutcome:
+    def _drive(self, share: list[_Worker], task: dict[str, Any]) -> RaceOutcome:
         # Deal methods round-robin so each worker runs a serial slice.
-        plans = [list(methods[i :: len(share)]) for i in range(len(share))]
+        methods = task["methods"]
+        plans = [methods[i :: len(share)] for i in range(len(share))]
         started = time.perf_counter()
         for worker, plan in zip(share, plans):
             worker.cancel.clear()
-            worker.conn.send(
-                {
-                    "task": task_id,
-                    "kind": kind,
-                    "dataset": dataset,
-                    "k": k,
-                    "metric": metric,
-                    "x": x,
-                    "methods": plan,
-                    "budget": budget,
-                    "stagger": stagger,
-                    "extra": extra or {},
-                }
-            )
+            worker.conn.send({**task, "methods": plan})
         # The overall race wall: worst per-worker schedule (every attempt
         # gets its own fresh budget) plus stagger and scheduling slack.
         deadline = None
-        if budget is not None:
+        if task["budget"] is not None:
+            stagger = task.get("stagger") or {}
             allowance = max(
-                sum(float(stagger.get(m, 0.0)) + budget for m in plan) for plan in plans
+                sum(float(stagger.get(m, 0.0)) + task["budget"] for m in plan)
+                for plan in plans
             )
             deadline = started + allowance + _SCHEDULING_SLACK_S
-        pending = {w: plan for w, plan in zip(share, plans)}
+        pending = dict(zip(share, plans))
         reported: dict[str, RaceAttempt] = {}
         winner: RaceAttempt | None = None
         grace_deadline: float | None = None
@@ -416,63 +368,46 @@ class ProcessRacer:
                     # cancel first, hard kill only after the grace window.
                     for worker in pending:
                         worker.cancel.set()
-                    grace_deadline = now + self.grace_s
+                    grace_deadline = now + _GRACE_S
                     continue
-                for worker, plan in list(pending.items()):
+                for worker, plan in pending.items():
                     hard_kills += 1
                     worker.process.terminate()
                     worker.process.join(timeout=1.0)
-                    try:
-                        worker.conn.close()
-                    except OSError:  # pragma: no cover
-                        pass
+                    worker.conn.close()
                     for method in plan:
-                        if method not in reported:
-                            reported[method] = RaceAttempt(
-                                method,
-                                "cancelled",
-                                0.0,
-                                "hard-killed after the grace window",
-                            )
-                    del pending[worker]
+                        reported.setdefault(method, RaceAttempt(
+                            method, "cancelled", 0.0, "hard-killed after the grace window"
+                        ))
                 break
-            timeout = None if limit is None else max(0.0, limit - now)
-            ready = connection.wait([w.conn for w in pending], timeout=timeout)
-            for conn in ready:
+            timeout = None if limit is None else limit - now
+            for conn in connection.wait([w.conn for w in pending], timeout=timeout):
                 worker = next(w for w in pending if w.conn is conn)
                 try:
-                    message = conn.recv()
+                    attempt = conn.recv()
                 except (EOFError, OSError):
                     # Worker crashed mid-attempt: report what is missing.
-                    for method in pending[worker]:
-                        if method not in reported:
-                            reported[method] = RaceAttempt(
-                                method, "error", 0.0, "race worker died"
-                            )
+                    for method in pending.pop(worker):
+                        reported.setdefault(
+                            method, RaceAttempt(method, "error", 0.0, "race worker died")
+                        )
+                    continue
+                if attempt is None:
                     del pending[worker]
                     continue
-                if message[0] == "done":
-                    del pending[worker]
-                    continue
-                _, _, method, status, elapsed, detail, exc_type, answer = message
-                reported[method] = RaceAttempt(
-                    method, status, float(elapsed), detail, exc_type, answer
-                )
-                if status == "exact" and winner is None:
-                    winner = reported[method]
-                    # Cancel everyone still pending — including the
-                    # winner's own worker, which may have queued methods.
+                reported[attempt.method] = attempt
+                if attempt.status == "exact" and winner is None:
+                    winner = attempt
+                    # Cancel everyone still pending, then give the losers
+                    # one grace window to report before the hard kill.
                     for other in pending:
                         other.cancel.set()
-                    # Give the losers one grace window to report their
-                    # cancellations, then hard-kill the stragglers.
-                    grace_deadline = time.perf_counter() + self.grace_s
-        attempts = tuple(
-            reported.get(m, RaceAttempt(m, "cancelled", 0.0, "cancelled before start"))
-            for m in methods
-        )
+                    grace_deadline = time.perf_counter() + _GRACE_S
         return RaceOutcome(
-            attempts=attempts,
+            attempts=tuple(
+                reported.get(m, RaceAttempt(m, "cancelled", 0.0, "cancelled before start"))
+                for m in methods
+            ),
             winner=winner,
             wall_s=time.perf_counter() - started,
             workers=len(share),
