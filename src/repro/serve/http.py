@@ -64,11 +64,19 @@ structured logs follows a request front → worker → solver.
 Each HTTP request is handled on its own thread.  With a single-process
 service every explanation funnels through **one** asyncio loop (a
 daemon thread) running the micro-batching queue, so concurrent clients
-share vectorized engine calls; with a cluster the handler threads call
+share vectorized engine calls, and every batch runs on **one** batch
+thread: batches run one at a time anyway, and a second thread would
+only spread the solvers' allocations over a second malloc arena.  With
+a cluster the handler threads call
 :meth:`~repro.serve.cluster.ClusterService.explain` directly — the
 scatter/gather front is already thread-safe and the workers do the
 batching.  Non-finite floats are encoded as the strings ``"Infinity"``
 / ``"-Infinity"`` / ``"NaN"`` so the wire format stays strict JSON.
+
+Every reply — JSON, error envelope or ``/metrics`` text — leaves in
+**one** write on a ``TCP_NODELAY`` socket.  A head and a body sent in
+two writes with Nagle's algorithm on would hold the body back until
+the client's delayed ACK of the head, about 40 ms on every reply.
 """
 
 from __future__ import annotations
@@ -77,6 +85,7 @@ import asyncio
 import json
 import re
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import perf_counter
 
@@ -141,7 +150,8 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
     :class:`~repro.serve.cluster.ClusterService` (scatter/gather,
     called directly).  ``port=0`` binds an ephemeral port; read the
     actual one from :attr:`port`.  :meth:`shutdown` stops the HTTP
-    threads, the batching loop, and closes the target.
+    threads, the batching loop and its batch thread, and closes the
+    target.
     """
 
     daemon_threads = True
@@ -158,8 +168,14 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
             self.log = StructuredLogger(None, component="http")
         self.loop: asyncio.AbstractEventLoop | None = None
         self._loop_thread: threading.Thread | None = None
+        self._batch_executor: ThreadPoolExecutor | None = None
         if hasattr(service, "asubmit"):  # single-process: shared batching loop
             self.loop = asyncio.new_event_loop()
+            # _flush_pending runs one batch at a time: one thread runs them all.
+            self._batch_executor = ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-batch"
+            )
+            self.loop.set_default_executor(self._batch_executor)
             self._loop_thread = threading.Thread(
                 target=self.loop.run_forever, name="repro-serve-loop", daemon=True
             )
@@ -176,6 +192,8 @@ class ExplanationHTTPServer(ThreadingHTTPServer):
         if self.loop is not None:
             self.loop.call_soon_threadsafe(self.loop.stop)
             self._loop_thread.join(timeout=5)
+            self._batch_executor.shutdown(wait=True)  # lets a running batch finish
+            self.loop.close()
         close = getattr(self.service, "close", None)
         if close is not None:
             close()
@@ -236,6 +254,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: ExplanationHTTPServer
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY on every accepted socket
 
     # -- verbs -----------------------------------------------------------
 
@@ -491,8 +510,11 @@ class _Handler(BaseHTTPRequestHandler):
             # The unread body would otherwise be parsed as the next
             # request on this keep-alive connection.
             self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(blob)
+        # One write for head and body: end_headers() would send the head
+        # by itself.  An HTTP/0.9 reply has no head, only the body.
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + blob if head else blob)
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         """Silence per-request stderr logging (stats live at /v2/stats)."""
