@@ -78,6 +78,7 @@ def minimum_sufficient_reason(
     *,
     method: str = "auto",
     max_brute_dimension: int = 18,
+    max_enumeration: int | None = None,
     engine: QueryEngine | None = None,
     time_limit: float | None = None,
     sat_incremental: bool = True,
@@ -92,9 +93,13 @@ def minimum_sufficient_reason(
     optionally shares a :class:`~repro.knn.QueryEngine` across calls.
     ``time_limit`` (seconds, best-effort) aborts a single-method run
     with :class:`~repro.exceptions.ResourceLimitError`; for
-    ``"portfolio"`` it is the per-method budget.  ``sat_incremental``
-    selects the assumption-based incremental sweep (default) or the
-    legacy rebuild-per-bound SAT search.
+    ``"portfolio"`` it is the per-method budget.  ``max_enumeration``
+    caps the brute sweep in classified candidate rows (one per
+    opposite-class point per Check-SR; None = no cap) and raises
+    :class:`~repro.exceptions.ValidationError` past it, like
+    ``max_brute_dimension``.  ``sat_incremental`` selects the
+    assumption-based incremental sweep (default) or the legacy
+    rebuild-per-bound SAT search.
     """
     k = check_odd_k(k)
     metric = get_metric(metric)
@@ -117,7 +122,7 @@ def minimum_sufficient_reason(
     if method == "brute":
         return _minimum_brute(
             dataset, k, metric, xv, max_brute_dimension, engine,
-            time_limit=time_limit,
+            time_limit=time_limit, max_enumeration=max_enumeration,
         )
     if method in ("milp", "sat"):
         if metric.name != "hamming" or k != 1:
@@ -141,6 +146,7 @@ def minimum_sufficient_reason(
 def _minimum_brute(
     dataset: Dataset, k: int, metric, x: np.ndarray, max_dimension: int,
     engine: QueryEngine, *, time_limit: float | None = None,
+    max_enumeration: int | None = None,
 ) -> MinimumSRResult:
     n = dataset.dimension
     if n > max_dimension:
@@ -149,9 +155,21 @@ def _minimum_brute(
             f"2^{n} subsets; use the milp/sat pipeline or reduce n"
         )
     deadline = start_deadline(time_limit)
+    rows = enumerated = 0
+    if max_enumeration is not None:
+        # Each Check-SR classifies one candidate row per opposite-class point.
+        expanded = dataset.expanded()
+        opposite = expanded.negatives if engine.classify(x, k) == 1 else expanded.positives
+        rows = opposite.shape[0]
     for size in range(n + 1):
         for X in combinations(range(n), size):
             remaining_budget(deadline, "brute-force Minimum-SR")
+            enumerated += rows
+            if max_enumeration is not None and enumerated > max_enumeration:
+                raise ValidationError(
+                    f"brute-force Minimum-SR exceeded {max_enumeration} candidate "
+                    "rows; use the milp/sat pipeline"
+                )
             if check_sufficient_reason(dataset, k, metric, x, X, engine=engine):
                 return MinimumSRResult(frozenset(X), size, "brute")
     raise AssertionError("the full component set is always sufficient")  # pragma: no cover

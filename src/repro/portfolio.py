@@ -2,14 +2,16 @@
 
 The paper's Table 1 makes Minimum-SR and the Hamming/l1 counterfactual
 problems NP-complete, and the repo ships several exact pipelines for
-the same instances (SAT, MILP, brute force — Section 9).  No single
-pipeline dominates: MILP usually leads on the random workloads, SAT
-wins when the optimum is small, brute force wins at tiny dimension.
+the same instances (SAT, MILP, brute force — Section 9).  The Hamming
+portfolios try the cheapest exact method first: brute force while its
+enumeration stays under :data:`BRUTE_CAP`, then SAT (ahead of the MILP
+route in the paper's Section 9), then MILP, which always finishes.
 This module races them:
 
 * every *applicable* method for the instance runs under a
   **per-method wall-clock budget** (``budget`` seconds) — sequentially
-  in a fixed order by default, or **concurrently in a process pool**
+  in the :data:`MSR_PORTFOLIO` / :data:`CF_PORTFOLIO` order by default,
+  or **concurrently in a process pool**
   (``parallel=True``, via :class:`~repro.solvers.race.ProcessRacer`)
   where the first exact answer cancels the losers cooperatively
   through the shared budget/cancel plumbing, with a hard-kill backstop.
@@ -74,15 +76,24 @@ from .metrics import get_metric
 from .solvers.race import attempts, default_racer
 from .solvers.sat.pool import SATSolverPool
 
-#: exact Minimum-SR methods raced on the discrete k = 1 cell, in order.
-MSR_PORTFOLIO = ("milp", "sat", "brute")
+#: exact Minimum-SR methods raced on the discrete k = 1 cell, cheapest first.
+MSR_PORTFOLIO = ("brute", "sat", "milp")
 
-#: exact closest-counterfactual methods raced per metric, in order.
+#: exact closest-counterfactual methods raced per metric, cheapest first.
 CF_PORTFOLIO = {
-    "hamming": ("hamming-milp", "hamming-sat", "hamming-brute"),
+    "hamming": ("hamming-brute", "hamming-sat", "hamming-milp"),
     "l1": ("l1-milp",),
     "l2": ("l2-qp",),
 }
+
+#: brute force's enumeration cap in classified candidate rows: one per
+#: counterfactual candidate, and one per opposite-class point per
+#: Check-SR of the Minimum-SR sweep.  It binds only while a later member
+#: remains in the attempt loop; past it brute yields as ``unsupported``.
+#: It counts rather than times, so attempts and winners repeat exactly.
+#: At d = 16 and 32 rows it costs about one SAT solve; a 10-feature cell
+#: with 16 points per class needs at most 2^10 x 16 = 16384 rows.
+BRUTE_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -256,6 +267,7 @@ def _race(
     cancelled: then it raises :class:`~repro.exceptions.SolverError`
     if a member crashed, else the members' own inapplicable error.
     """
+    task = {**task, "brute_cap": BRUTE_CAP}
     budget = task["budget"]
     here = {**task, **local}
     here["fingerprint"] = _pool_fingerprint(
@@ -463,6 +475,7 @@ def _anytime_counterfactual(task: dict):
 
 
 __all__ = [
+    "BRUTE_CAP",
     "MSR_PORTFOLIO",
     "CF_PORTFOLIO",
     "PortfolioAttempt",

@@ -64,14 +64,17 @@ def preferred_context():
     return multiprocessing.get_context("fork" if "fork" in methods else "spawn")
 
 
-def run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any:
+def run_attempt(
+    task: dict[str, Any], method: str, budget: float | None, cap: int | None = None
+) -> Any:
     """Run one exact *method* of *task*; returns the pipeline's answer.
 
     In-process tasks carry the shared ``engine`` and may carry a warm
     ``solver_pool`` (with its ``fingerprint``), which routes the k = 1
     SAT members through their pooled variants; worker tasks carry
-    neither.  Imports are local: :mod:`repro.solvers` sits below the
-    pipelines that build on it.
+    neither.  *cap* bounds the brute members' enumeration in classified
+    candidate rows (None = their own default).  Imports are local:
+    :mod:`repro.solvers` sits below the pipelines that build on it.
     """
     from ..abductive.minimum import minimum_sat_hamming_k1_pooled, minimum_sufficient_reason
     from ..counterfactual import closest_counterfactual
@@ -89,7 +92,7 @@ def run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any:
         return minimum_sufficient_reason(
             dataset, k, metric, x,
             method=method, engine=engine, time_limit=budget,
-            max_brute_dimension=task["max_brute_dimension"],
+            max_brute_dimension=task["max_brute_dimension"], max_enumeration=cap,
         )
     if pooled and method == "hamming-sat":
         return closest_counterfactual_hamming_sat_pooled(
@@ -97,8 +100,10 @@ def run_attempt(task: dict[str, Any], method: str, budget: float | None) -> Any:
             solver_pool=pool, fingerprint=task["fingerprint"],
             query_engine=engine, time_limit=budget,
         )
+    capped = {"max_enumeration": cap} if method == "hamming-brute" and cap is not None else {}
     return closest_counterfactual(
-        dataset, k, metric, x, method=method, query_engine=engine, time_limit=budget
+        dataset, k, metric, x,
+        method=method, query_engine=engine, time_limit=budget, **capped,
     )
 
 
@@ -118,15 +123,19 @@ def attempts(task: dict[str, Any], cancel: Any = None) -> Iterator[RaceAttempt]:
     ``dataset``, ``k``, ``metric`` name, ``x``, and for Minimum-SR
     ``max_brute_dimension``), the ``methods`` to try, the per-method
     ``budget`` (seconds, None = no cap), optional per-method ``stagger``
-    start delays, and the in-process-only keys :func:`run_attempt`
-    reads.  *cancel* is the race's cancel event (a race worker's shared
-    one; in process, a private event nobody sets): once set, the
-    remaining methods report ``cancelled`` without starting.
+    start delays, the optional ``brute_cap`` (classified candidate rows)
+    and the in-process-only keys :func:`run_attempt` reads.  The cap
+    binds only while a later method remains: a brute member past it
+    reports ``unsupported`` and yields, and a brute member that runs
+    last is never capped.  *cancel* is the race's cancel event (a race
+    worker's shared one; in process, a private event nobody sets): once
+    set, the remaining methods report ``cancelled`` without starting.
     """
     cancel = cancel if cancel is not None else threading.Event()
     budget = task["budget"]
     stagger = task.get("stagger") or {}
-    for method in task["methods"]:
+    methods = task["methods"]
+    for i, method in enumerate(methods):
         if cancel.is_set():
             yield RaceAttempt(method, "cancelled", 0.0, "cancelled before start")
             continue
@@ -137,9 +146,10 @@ def attempts(task: dict[str, Any], cancel: Any = None) -> Iterator[RaceAttempt]:
         if delay > 0.0 and cancel.wait(delay):
             yield RaceAttempt(method, "cancelled", 0.0, "cancelled during stagger")
             continue
+        cap = task.get("brute_cap") if i + 1 < len(methods) else None
         started = time.perf_counter()
         try:
-            answer = run_attempt(task, method, budget)
+            answer = run_attempt(task, method, budget, cap)
         except Exception as exc:  # noqa: BLE001 - classified; never fatal to the race
             elapsed = time.perf_counter() - started
             yield RaceAttempt(

@@ -563,7 +563,7 @@ def test_distance_cache_is_extended_not_flushed(rng):
 PORTFOLIO_FUZZ_ROUNDS = max(2, FUZZ_ROUNDS // 10)
 
 
-def _portfolio_script(seed: int) -> int:
+def _portfolio_script(seed: int, probe_reuse: bool) -> int:
     """One add/remove/query script: warm-pool serving vs cold solves.
 
     Every query step answers through the serving layer (warm pooled SAT
@@ -572,7 +572,8 @@ def _portfolio_script(seed: int) -> int:
     must be bit-identical, whatever mutations the pool absorbed.  After
     every step, pooled solvers for superseded versions must be provably
     gone: each pooled fingerprint equals the service's *current*
-    versioned fingerprint.  Returns the pool's lifetime hit count.
+    versioned fingerprint.  With *probe_reuse* the closing probe must
+    lease a pooled solver.  Returns the pool's lifetime hit count.
     """
     from repro.portfolio import (
         portfolio_closest_counterfactual,
@@ -646,7 +647,8 @@ def _portfolio_script(seed: int) -> int:
     cold = portfolio_minimum_sufficient_reason(folded, 1, "hamming", x)
     assert got["X"] == sorted(int(i) for i in cold.answer.X)
     assert got["size"] == int(cold.answer.size)
-    assert service.solver_pool.stats()["hits"] > hits_before
+    if probe_reuse:
+        assert service.solver_pool.stats()["hits"] > hits_before
     # ... and the engine the pool answered against equals the fold.
     assert dataset_fingerprint(service.dataset(fingerprint)) == dataset_fingerprint(
         folded
@@ -654,17 +656,29 @@ def _portfolio_script(seed: int) -> int:
     return service.solver_pool.stats()["hits"]
 
 
-def test_fuzz_portfolio_pool_parity():
-    """Seeded scripts: warm-pool portfolio serving ≡ cold solves."""
+def test_fuzz_portfolio_pool_parity(monkeypatch):
+    """Seeded scripts: warm-pool portfolio serving ≡ cold solves.
+
+    Each seed runs twice: at the default brute-force cap, where brute
+    force wins these small cells, and with the cap forced to zero, where
+    brute yields at once so the pooled SAT sweeps and canonicalization
+    answer.
+    """
+    from repro import portfolio
+
     hits = 0
     for seed in range(PORTFOLIO_FUZZ_ROUNDS):
-        try:
-            hits += _portfolio_script(seed)
-        except AssertionError as exc:  # pragma: no cover - failure reporting
-            raise AssertionError(
-                f"portfolio pool parity broke for seed={seed}: {exc}"
-            ) from exc
-    # Vacuity guard: the scripts must actually have reused warm solvers.
+        for cap in (portfolio.BRUTE_CAP, 0):
+            monkeypatch.setattr(portfolio, "BRUTE_CAP", cap)
+            try:
+                pooled = _portfolio_script(seed, probe_reuse=cap == 0)
+            except AssertionError as exc:  # pragma: no cover - failure reporting
+                raise AssertionError(
+                    f"portfolio pool parity broke for seed={seed}, cap={cap}: {exc}"
+                ) from exc
+            if cap == 0:
+                hits += pooled
+    # Vacuity guard: the zero-cap scripts must actually have reused warm solvers.
     assert hits > 0
 
 

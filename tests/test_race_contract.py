@@ -79,17 +79,17 @@ def test_sequential_member_crash_is_an_error_attempt(monkeypatch):
     real = minimum.minimum_sufficient_reason
 
     def solve(*args, method="auto", **kwargs):
-        if method == "milp":  # the way a failed HiGHS solve surfaces
-            raise SolverError("scipy milp failed")
+        if method == "brute":  # the first member crashes; SAT must take over
+            raise SolverError("brute sweep failed")
         return real(*args, method=method, **kwargs)
 
     monkeypatch.setattr(minimum, "minimum_sufficient_reason", solve)
     race = portfolio_minimum_sufficient_reason(data, 1, "hamming", x)
     assert race.exact and race.method == "sat"
     assert [(a.method, a.status) for a in race.attempts] == [
-        ("milp", "error"), ("sat", "exact"),
+        ("brute", "error"), ("sat", "exact"),
     ]
-    assert race.attempts[0].detail == "scipy milp failed"
+    assert race.attempts[0].detail == "brute sweep failed"
     assert race.answer.X == reference.answer.X
 
 
