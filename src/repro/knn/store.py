@@ -641,6 +641,17 @@ class StoreBacked:
         return self._store.dataset
 
     @property
+    def class_sizes(self) -> dict:
+        """``{label: points counting multiplicities}`` in class order.
+
+        A binary engine keys its positives ``True`` and its negatives
+        ``False``.  Read from the store's counters, so it never
+        materializes :attr:`dataset`.
+        """
+        store = self._store
+        return {c: int(m.sum()) for c, m in zip(store.classes, store.mults)}
+
+    @property
     def backend(self) -> str:
         """The index backend serving the batch paths (auto rule resolved)."""
         return self._store.backend

@@ -27,10 +27,13 @@ of dataset lineages assigned to it.  The topology:
   control traffic;
 * **mutations route to every replica** — :meth:`ClusterService.add_points`
   / :meth:`~ClusterService.remove_points` serialize per lineage at the
-  front and broadcast to the lineage's replica set in one order, so
-  every replica applies the PR-5 version-bump/invalidation protocol
-  (``<fp>@vN``) in lockstep and replicas can never disagree about the
-  current version.
+  front and send each batch to the whole replica set at once, so every
+  replica applies the same batches in the same order under the
+  version-bump/invalidation protocol (``<fp>@vN``).  Validation is
+  deterministic over identical state, so replicas accept or refuse a
+  batch alike; the reply waits for all of them, and a replica whose
+  outcome differs (it died mid-batch, its disk failed) is named in a
+  structured ``replica_divergence`` warning.
 
 Workers speak a tiny pickled ``(op, payload)`` / ``(status, value)``
 protocol over :func:`multiprocessing.Pipe`; a worker is single-threaded
@@ -74,6 +77,13 @@ def _rebuild_exception(type_name: str, message: str) -> BaseException:
     if isinstance(exc_type, type) and issubclass(exc_type, BaseException):
         return exc_type(message)
     return SolverError(f"worker failure ({type_name}): {message}")
+
+
+def _outcome(outcome) -> str:
+    """One replica's mutation outcome as the divergence warning shows it."""
+    if isinstance(outcome, Exception):
+        return f"{type(outcome).__name__}: {outcome}"
+    return f"ok @v{outcome['version']}"
 
 
 def _worker_dispatch(service: ExplanationService, op: str, payload) -> object:
@@ -626,22 +636,43 @@ class ClusterService:
         return self._mutate("remove", fingerprint, points, labels, multiplicities)
 
     def _mutate(self, kind: str, fingerprint: str, points, labels, multiplicities) -> dict:
-        """Broadcast one mutation to the replica set under the lineage lock.
+        """Send one mutation to every replica at once, under the lineage lock.
 
         The front lock serializes mutations per lineage, and each worker
         is single-threaded, so every replica applies the same mutations
-        in the same order — versions cannot diverge.  Validation is
-        deterministic and state-identical across replicas, so a batch a
-        replica would reject is rejected by the owner first (the
-        broadcast is sequential, owner first).
+        in the same order; the replicas work on a batch concurrently and
+        the reply waits for every one of them.  Validation is
+        deterministic over identical state, so they accept or refuse
+        alike.  The reply is the owner's when every replica applied the
+        batch; otherwise the owner's error is raised, or else the first
+        failing replica's.  Replicas whose outcome differs from the
+        owner's are named in a ``replica_divergence`` warning; they stay
+        diverged until restored (see ``docs/operations.md``).
         """
         base, workers = self._replicas_for(fingerprint)
         payload = (kind, fingerprint, points, labels, multiplicities)
         with self._mutation_lock(base):
-            result = workers[0].call("mutate", payload, force=True)
-            for worker in workers[1:]:
-                worker.call("mutate", payload, force=True)
-        return result
+            futures = [worker.submit("mutate", payload, force=True) for worker in workers]
+            outcomes = []
+            for future in futures:
+                try:
+                    outcomes.append(future.result())
+                except Exception as exc:
+                    outcomes.append(exc)
+        summaries = {str(w.index): _outcome(o) for w, o in zip(workers, outcomes)}
+        differing = [
+            w.index for w in workers
+            if summaries[str(w.index)] != summaries[str(workers[0].index)]
+        ]
+        if differing:
+            self.log.log(
+                "replica_divergence", level="warning", base=base[:16], op=kind,
+                owner=workers[0].index, workers=differing, outcomes=summaries,
+            )
+        for outcome in outcomes:
+            if isinstance(outcome, Exception):
+                raise outcome
+        return outcomes[0]
 
     def _mutation_lock(self, base: str) -> threading.Lock:
         """The front-side per-lineage lock serializing mutations."""

@@ -55,6 +55,7 @@ from __future__ import annotations
 import asyncio
 import pickle
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Sequence
@@ -140,6 +141,47 @@ class ExplanationResponse:
         return "error" not in self.payload
 
 
+class _Lineage:
+    """One registered dataset lineage: its ``@vN`` version and its contents.
+
+    The contents are the registered (or restored) :attr:`dataset` until
+    the lineage's first engine is built.  From then on they live in that
+    engine's labeled store (:attr:`engine`), which every mutation updates
+    in place, and :meth:`contents` materializes them lazily.  The shape
+    facts a request needs are plain attributes, so reading them
+    materializes nothing.
+    """
+
+    __slots__ = ("version", "dataset", "engine", "multiclass", "dimension", "discrete")
+
+    def __init__(self, dataset, version: int = 0):
+        self.version = version
+        self.dataset = dataset
+        self.engine = None
+        self.multiclass = isinstance(dataset, MultiClassDataset)
+        self.dimension = dataset.dimension
+        self.discrete = bool(dataset.discrete)
+
+    @property
+    def classes(self) -> tuple:
+        """A multiclass lineage's current labels, ascending."""
+        return (self.dataset if self.engine is None else self.engine).classes
+
+    def contents(self):
+        """The current contents as an immutable dataset (materialized lazily)."""
+        return self.dataset if self.engine is None else self.engine.dataset
+
+    def counts(self) -> dict:
+        """JSON-ready shape counts of the current contents (nothing materialized)."""
+        if self.engine is not None:
+            sizes = self.engine.class_sizes
+        elif self.multiclass:
+            sizes = self.dataset.counts
+        else:
+            sizes = {True: self.dataset.n_positive, False: self.dataset.n_negative}
+        return _counts_payload(self.multiclass, sizes)
+
+
 class ExplanationService:
     """Batched, cached serving front end over every explanation pipeline.
 
@@ -209,8 +251,7 @@ class ExplanationService:
         self.cache = ResultCache(cache_size, cache_dir)
         self.max_batch = max(1, int(max_batch))
         self.max_wait_s = max(0.0, float(max_wait_s))
-        self._datasets: dict[str, Dataset | MultiClassDataset] = {}
-        self._versions: dict[str, int] = {}
+        self._lineages: dict[str, _Lineage] = {}
         self._engines: dict[tuple[str, str], QueryEngine | MultiClassEngine] = {}
         self._engine_locks: dict[tuple[str, str], threading.Lock] = {}
         self._mutation_locks: dict[str, threading.Lock] = {}
@@ -289,15 +330,17 @@ class ExplanationService:
             }
             if lineage.dataset is None:
                 continue
+            entry = _Lineage(lineage.dataset, lineage.version)
             with self._lock:
-                self._datasets[base] = lineage.dataset
-                self._versions[base] = lineage.version
-                for metric, engine in lineage.engines.items():
+                self._lineages[base] = entry
+                for metric, engine in sorted(lineage.engines.items()):
                     self._engines[(base, metric)] = engine
                     self._engine_locks.setdefault((base, metric), threading.Lock())
+                    if entry.engine is None:
+                        entry.engine, entry.dataset = engine, None
 
-    def _engine_blobs(self, base: str, engine_keys) -> dict:
-        """Pickle the lineage's warm engines for a snapshot.
+    def _engine_blobs(self, base: str, engines: dict) -> dict:
+        """Pickle the lineage's warm *engines* (metric → engine) for a snapshot.
 
         Called while the caller holds every engine lock of *base* (so no
         solve or mutation races the serialization).  Engines that refuse
@@ -305,17 +348,13 @@ class ExplanationService:
         without engines still restores, just cold.
         """
         blobs: dict[str, bytes] = {}
-        for key in engine_keys:
-            with self._lock:
-                engine = self._engines.get(key)
-            if engine is None:
-                continue
+        for metric, engine in engines.items():
             try:
-                blobs[key[1]] = pickle.dumps(engine)
+                blobs[metric] = pickle.dumps(engine)
             except Exception as exc:
                 self.log.log(
                     "engine_snapshot_skipped", level="warning",
-                    base=base[:16], metric=key[1], error=str(exc),
+                    base=base[:16], metric=metric, error=str(exc),
                 )
         return blobs
 
@@ -342,12 +381,12 @@ class ExplanationService:
             # lineage already has a WAL — including via restore).
             self.durability.register(fingerprint, dataset)
         with self._lock:
-            self._datasets.setdefault(fingerprint, dataset)
-            self._versions.setdefault(fingerprint, 0)
+            if fingerprint not in self._lineages:
+                self._lineages[fingerprint] = _Lineage(dataset)
         return fingerprint
 
-    def _resolve(self, fingerprint: str) -> tuple[str, str]:
-        """``(base, current versioned fingerprint)`` for a client handle.
+    def _resolve(self, fingerprint: str) -> tuple[str, str, _Lineage]:
+        """``(base, current versioned fingerprint, lineage)`` for a client handle.
 
         A bare fingerprint always addresses the current version; a
         versioned one must *match* the current version — a superseded
@@ -357,44 +396,67 @@ class ExplanationService:
         """
         base, version = split_fingerprint(fingerprint)
         with self._lock:
-            if base not in self._datasets:
+            lineage = self._lineages.get(base)
+            if lineage is None:
                 raise UnknownDatasetError(
                     f"unknown dataset fingerprint {base[:16]!r}...; "
                     "register the dataset first (add_dataset / POST /v2/datasets)"
                 )
-            current = self._versions.get(base, 0)
+            current = lineage.version
         if "@" in fingerprint and version != current:
             raise ValidationError(
                 f"dataset version v{version} was superseded (current: v{current}); "
                 "re-issue the request against the current fingerprint"
             )
-        return base, versioned_fingerprint(base, current)
+        return base, versioned_fingerprint(base, current), lineage
+
+    @contextmanager
+    def _settled(self, base: str):
+        """Hold *base* still: no mutation or engine build runs until exit.
+
+        Takes the lineage's mutation lock and, once an engine holds the
+        contents, that engine's lock too — solvers materialize its
+        dataset under it — so the yielded lineage's contents, counts
+        and version all read one state.
+        """
+        with self._mutation_lock(base):
+            with self._lock:
+                lineage = self._lineages.get(base)
+            if lineage is None:  # removed while we waited on the lock
+                raise UnknownDatasetError(
+                    f"unknown dataset fingerprint {base[:16]!r}...; it was removed"
+                )
+            if lineage.engine is None:
+                yield lineage
+            else:
+                with self._engine_lock(base, lineage.engine.metric.name):
+                    yield lineage
 
     def dataset(self, fingerprint: str) -> Dataset:
         """The registered dataset behind *fingerprint* (raises if unknown).
 
         Accepts bare or (current) versioned fingerprints and returns the
-        dataset's *current* contents.
+        dataset's *current* contents, materialized from the engine's
+        store when a mutation changed them since the last call.
         """
-        base, _ = self._resolve(fingerprint)
-        with self._lock:
-            return self._datasets[base]
+        base, _, _ = self._resolve(fingerprint)
+        with self._settled(base) as lineage:
+            return lineage.contents()
 
     def add_points(self, fingerprint: str, points, labels, multiplicities=None) -> dict:
         """Insert labeled points into a registered dataset, in place.
 
         Every warm engine of the dataset absorbs the batch incrementally
         (:meth:`QueryEngine.add_points <repro.knn.engine.QueryEngine.
-        add_points>`), the registered snapshot is replaced, the version
-        is bumped, and only the superseded version's cache entries are
-        invalidated — other datasets and other versions are untouched.
-        Returns ``{"fingerprint", "version", "invalidated"}`` plus the
-        dataset's shape counts (``n_positive``/``n_negative`` for binary
-        lineages, ``classes``/``counts`` for multiclass ones) with the
-        new versioned fingerprint.
+        add_points>`), the version is bumped, and only the superseded
+        version's cache entries are invalidated — other datasets and
+        other versions are untouched.  Returns ``{"fingerprint",
+        "version", "invalidated"}`` plus the dataset's shape counts
+        (``n_positive``/``n_negative`` for binary lineages,
+        ``classes``/``counts`` for multiclass ones) with the new
+        versioned fingerprint.
         """
-        return self._mutate(fingerprint, "with_added", "add_points",
-                            points, labels, multiplicities)
+        return self._mutate(fingerprint, "add", points, labels, multiplicities)
 
     def remove_points(self, fingerprint: str, points, labels, multiplicities=None) -> dict:
         """Remove labeled points from a registered dataset, in place.
@@ -403,113 +465,102 @@ class ExplanationService:
         insufficient multiplicity, emptying the dataset) raises before
         any engine is touched.
         """
-        return self._mutate(fingerprint, "with_removed", "remove_points",
-                            points, labels, multiplicities)
+        return self._mutate(fingerprint, "remove", points, labels, multiplicities)
 
-    def _mutate(
-        self, fingerprint: str, dataset_op: str, engine_op: str,
-        points, labels, multiplicities,
-    ) -> dict:
-        """Shared add/remove path: mutate engines + snapshot under lock."""
-        base, _ = self._resolve(fingerprint)
+    def _mutate(self, fingerprint: str, op: str, points, labels, multiplicities) -> dict:
+        """Shared add/remove path: O(batch) work on the engines' stores.
+
+        The lineage's contents live in its engines' labeled stores, so a
+        lineage without an engine first builds the default-metric one
+        its first query would build.  The batch is validated against
+        every engine before any changes, logged to the WAL, applied to
+        each engine and the version bumped — all under the lineage's
+        mutation lock and every engine lock.
+        """
+        base, _, _ = self._resolve(fingerprint)
         with self._mutation_lock(base):
             with self._lock:
-                snapshot = self._datasets.get(base)
-                engine_keys = sorted(k for k in self._engines if k[0] == base)
-            if snapshot is None:  # removed while we waited on the lock
+                lineage = self._lineages.get(base)
+            if lineage is None:  # removed while we waited on the lock
                 raise UnknownDatasetError(
                     f"unknown dataset fingerprint {base[:16]!r}...; it was removed"
                 )
-            # Validate once, functionally — a bad batch must leave the
-            # dataset, every engine, and the version untouched.
-            new_snapshot = getattr(snapshot, dataset_op)(points, labels, multiplicities)
-            locks = [self._engine_lock(base, metric) for _, metric in engine_keys]
+            if lineage.engine is None:
+                self._build_engine(base, lineage, self._metric_name(lineage, None))
+            with self._lock:
+                engines = {
+                    key[1]: engine for key, engine in sorted(self._engines.items())
+                    if key[0] == base
+                }
+            locks = [self._engine_lock(base, metric) for metric in engines]
             for lock in locks:
                 lock.acquire()
             try:
                 # In-flight batches hold their engine's lock for the whole
                 # group (solve + cache write), so they complete against the
                 # version they started on; everything arriving after this
-                # block re-resolves to the bumped version.
-                with self._lock:
-                    engines = [
-                        engine
-                        for key in engine_keys
-                        if (engine := self._engines.get(key)) is not None
-                    ]
-                # Pre-validate against every engine before applying to any:
-                # backend-specific constraints (a bitpack engine rejecting
-                # non-binary rows) must refuse the whole batch up front,
-                # never leave some engines mutated and others not.
-                check_op = "add" if engine_op == "add_points" else "remove"
-                for engine in engines:
-                    engine.check_mutation(points, labels, multiplicities, op=check_op)
+                # block re-resolves to the bumped version.  Validate against
+                # every engine before applying to any: backend-specific
+                # constraints (a bitpack engine rejecting non-binary rows)
+                # must refuse the whole batch up front, never leave some
+                # engines mutated and others not.
+                for engine in engines.values():
+                    batch = engine.check_mutation(points, labels, multiplicities, op=op)
                 # WAL point: the batch passed every validation, so it
                 # *will* apply — make it durable (fsync'd) before any
                 # engine or the version is touched.  A DurabilityError
-                # here aborts the mutation with all state untouched;
-                # under the mutation lock the version cannot move, so
-                # the version the record commits to is exact.
-                with self._lock:
-                    next_version = self._versions.get(base, 0) + 1
+                # here aborts the mutation with all state untouched.
+                version = lineage.version + 1
                 if self.durability is not None:
-                    self.durability.append_mutation(
-                        base, next_version, check_op, new_snapshot,
-                        points, labels, multiplicities,
-                    )
-                for engine in engines:
-                    getattr(engine, engine_op)(points, labels, multiplicities)
+                    self.durability.append_mutation(base, version, op, *batch)
+                for engine in engines.values():
+                    getattr(engine, f"{op}_points")(*batch)
                 with self._lock:
-                    self._datasets[base] = new_snapshot
-                    old_version = self._versions.get(base, 0)
-                    self._versions[base] = old_version + 1
+                    lineage.version = version
                     self._mutations += 1
-                # Pickle warm engines for the periodic snapshot while we
-                # still hold every engine lock (no solve can race the
-                # serialization); the snapshot file itself is written
-                # after the locks drop.
-                engine_blobs = None
-                if self.durability is not None and self.durability.snapshot_due(
-                    old_version + 1
-                ):
-                    engine_blobs = self._engine_blobs(base, engine_keys)
+                counts = lineage.counts()
+                # Pickle warm engines and materialize the contents for a
+                # due snapshot while we still hold every engine lock (no
+                # solve can race the serialization).
+                snapshot = None
+                if self.durability is not None and self.durability.snapshot_due(version):
+                    blobs = self._engine_blobs(base, engines)
+                    snapshot = (lineage.contents(), blobs)
             finally:
                 for lock in locks:
                     lock.release()
-            if engine_blobs is not None:
+            if snapshot is not None:
                 try:
-                    self.durability.snapshot(
-                        base, new_snapshot, old_version + 1, engine_blobs
-                    )
+                    self.durability.snapshot(base, snapshot[0], version, snapshot[1])
                 except DurabilityError as exc:
                     # Snapshot failure is not fatal: the WAL already
                     # covers every acknowledged version.
                     self.log.log(
                         "snapshot_failed", level="warning",
-                        base=base[:16], version=old_version + 1, error=str(exc),
+                        base=base[:16], version=version, error=str(exc),
                     )
             # The superseded version's sweep can touch disk (persisted
             # entries); run it after the engine locks are down so query
             # traffic is never stalled behind filesystem I/O.  No group
             # can still write old-version entries: every group that
             # started before the bump completed while we held its lock.
-            removed = self.cache.invalidate(versioned_fingerprint(base, old_version))
+            removed = self.cache.invalidate(versioned_fingerprint(base, version - 1))
             if self.solver_pool is not None:
                 # Pooled solvers encode the superseded version's dataset;
                 # sweep them under the same versioned fingerprint as the
                 # result cache so warm state can never outlive its data.
-                self.solver_pool.invalidate(versioned_fingerprint(base, old_version))
+                self.solver_pool.invalidate(versioned_fingerprint(base, version - 1))
         if self.log.enabled:
             self.log.log(
-                "mutation_applied", base=base[:16], op=check_op,
-                version=old_version + 1, batch=int(np.asarray(points).shape[0]),
+                "mutation_applied", base=base[:16], op=op,
+                version=version, batch=int(batch[0].shape[0]),
                 invalidated=removed,
             )
         return {
-            "fingerprint": versioned_fingerprint(base, old_version + 1),
-            "version": old_version + 1,
+            "fingerprint": versioned_fingerprint(base, version),
+            "version": version,
             "invalidated": removed,
-            **_counts_payload(new_snapshot),
+            **counts,
         }
 
     def remove_dataset(self, fingerprint: str) -> int:
@@ -524,9 +575,8 @@ class ExplanationService:
         """
         base, version = split_fingerprint(fingerprint)
         with self._lock:
-            known = base in self._datasets
-            current = self._versions.get(base, 0)
-        if known and "@" in fingerprint and version != current:
+            lineage = self._lineages.get(base)
+        if lineage is not None and "@" in fingerprint and version != lineage.version:
             if self.solver_pool is not None:
                 self.solver_pool.invalidate(fingerprint)
             return self.cache.invalidate(fingerprint)
@@ -537,8 +587,7 @@ class ExplanationService:
         # re-check registration after acquiring it.
         with self._mutation_lock(base):
             with self._lock:
-                self._datasets.pop(base, None)
-                self._versions.pop(base, None)
+                self._lineages.pop(base, None)
                 for key in [k for k in self._engines if k[0] == base]:
                     del self._engines[key]
                     self._engine_locks.pop(key, None)
@@ -558,8 +607,8 @@ class ExplanationService:
         """Current versioned fingerprints of every registered dataset."""
         with self._lock:
             return [
-                versioned_fingerprint(base, self._versions.get(base, 0))
-                for base in self._datasets
+                versioned_fingerprint(base, lineage.version)
+                for base, lineage in self._lineages.items()
             ]
 
     def describe(self, fingerprint: str) -> dict:
@@ -573,17 +622,16 @@ class ExplanationService:
         :class:`~repro.exceptions.UnknownDatasetError` for fingerprints
         the service has never seen.
         """
-        base, current = self._resolve(fingerprint)
-        with self._lock:
-            data = self._datasets[base]
-            version = self._versions.get(base, 0)
+        base, _, _ = self._resolve(fingerprint)
+        with self._settled(base) as lineage:
+            version, counts = lineage.version, lineage.counts()
         return {
-            "fingerprint": current,
+            "fingerprint": versioned_fingerprint(base, version),
             "version": version,
-            "kind": _dataset_kind(data),
-            "dimension": data.dimension,
-            "discrete": bool(data.discrete),
-            **_counts_payload(data),
+            "kind": "multiclass" if lineage.multiclass else "binary",
+            "dimension": lineage.dimension,
+            "discrete": lineage.discrete,
+            **counts,
         }
 
     def engine(self, fingerprint: str, metric=None) -> QueryEngine | MultiClassEngine:
@@ -597,34 +645,50 @@ class ExplanationService:
         :class:`~repro.knn.MultiClassEngine` (one shared joint index —
         never a per-class copy).
         """
-        base, _ = self._resolve(fingerprint)
-        with self._lock:
-            data = self._datasets[base]
-        name = self._metric_name(data, metric)
+        base, _, lineage = self._resolve(fingerprint)
+        name = self._metric_name(lineage, metric)
         with self._lock:
             engine = self._engines.get((base, name))
         if engine is not None:
             return engine
         # First use: build under the dataset's mutation lock, so a
-        # streaming mutation cannot slip between the snapshot read and
+        # streaming mutation cannot slip between the contents read and
         # the registration — such an engine would be born one version
         # stale and never catch up.
         with self._mutation_lock(base):
             with self._lock:
                 engine = self._engines.get((base, name))
-                if engine is None:
-                    data = self._datasets[base]
-                    engine_cls = (
-                        MultiClassEngine
-                        if isinstance(data, MultiClassDataset)
-                        else QueryEngine
-                    )
-                    engine = engine_cls(data, name, backend=self.backend)
-                    self._engines[(base, name)] = engine
-                    # setdefault: a group solve may already hold a lock
-                    # created for this key — never swap the object out
-                    # from under it.
-                    self._engine_locks.setdefault((base, name), threading.Lock())
+                lineage = self._lineages.get(base)
+            if engine is not None:
+                return engine
+            if lineage is None:  # removed while we waited on the lock
+                raise UnknownDatasetError(
+                    f"unknown dataset fingerprint {base[:16]!r}...; it was removed"
+                )
+            return self._build_engine(base, lineage, name)
+
+    def _build_engine(self, base: str, lineage: _Lineage, name: str):
+        """Build and register *base*'s engine for metric *name*.
+
+        The caller holds the lineage's mutation lock.  The first engine
+        is built from the registered dataset and takes over the
+        contents; a later one from the contents materialized under the
+        first engine's lock.  No caller may hold an engine lock here.
+        """
+        if lineage.engine is None:
+            data = lineage.dataset
+        else:
+            with self._engine_lock(base, lineage.engine.metric.name):
+                data = lineage.engine.dataset
+        engine_cls = MultiClassEngine if lineage.multiclass else QueryEngine
+        engine = engine_cls(data, name, backend=self.backend)
+        with self._lock:
+            self._engines[(base, name)] = engine
+            # setdefault: a group solve may already hold a lock created
+            # for this key — never swap the object out from under it.
+            self._engine_locks.setdefault((base, name), threading.Lock())
+            if lineage.engine is None:
+                lineage.engine, lineage.dataset = engine, None
         return engine
 
     def _engine_lock(self, fingerprint: str, metric_name: str) -> threading.Lock:
@@ -648,10 +712,10 @@ class ExplanationService:
             return self._mutation_locks.setdefault(base, threading.Lock())
 
     @staticmethod
-    def _metric_name(dataset, metric) -> str:
+    def _metric_name(lineage: _Lineage, metric) -> str:
         """Resolve a request's metric (default: Hamming iff discrete)."""
         if metric is None:
-            metric = default_metric_name(dataset.discrete)
+            metric = default_metric_name(lineage.discrete)
         return get_metric(metric).name
 
     # -- request construction --------------------------------------------
@@ -670,26 +734,24 @@ class ExplanationService:
         later can never serve it a stale cache hit (the superseded
         version's entries are invalidated wholesale).
         """
-        base, current = self._resolve(fingerprint)
-        with self._lock:
-            data = self._datasets[base]
+        _, current, lineage = self._resolve(fingerprint)
         if method not in METHODS:
             raise ValidationError(
                 f"unknown method {method!r}; choose from {'|'.join(METHODS)}"
             )
         xv = as_vector(instance, name="instance")
-        if xv.shape[0] != data.dimension:
+        if xv.shape[0] != lineage.dimension:
             raise ValidationError(
                 f"instance has dimension {xv.shape[0]}, "
-                f"dataset has {data.dimension}"
+                f"dataset has {lineage.dimension}"
             )
         xv = np.ascontiguousarray(xv)
         xv.setflags(write=False)
-        norm = self._normalize_params(data, method, dict(params))
+        norm = self._normalize_params(lineage, method, dict(params))
         key = request_key(current, method, xv, norm)
         return ExplanationRequest(current, method, xv, norm, key)
 
-    def _normalize_params(self, dataset, method: str, params: dict) -> dict:
+    def _normalize_params(self, lineage: _Lineage, method: str, params: dict) -> dict:
         """Canonical parameter dict for *method* (defaults made explicit).
 
         ``classify`` accepts ``vote`` (``uniform`` | ``distance``) on
@@ -700,10 +762,10 @@ class ExplanationService:
         label for solvers) — and restrict solver methods to ``k = 1``,
         the regime where the paper's merge reduction is exact.
         """
-        multiclass = isinstance(dataset, MultiClassDataset)
+        multiclass = lineage.multiclass
         out = {
             "k": check_odd_k(params.pop("k", 1)),
-            "metric": self._metric_name(dataset, params.pop("metric", None)),
+            "metric": self._metric_name(lineage, params.pop("metric", None)),
         }
         if method == "classify":
             vote = str(params.pop("vote", "uniform"))
@@ -716,10 +778,11 @@ class ExplanationService:
             target = params.pop("target_label", None)
             if target is not None:
                 target = int(target)
-                if target not in dataset.classes:
+                classes = lineage.classes
+                if target not in classes:
                     raise ValidationError(
                         f"unknown target_label {target}; dataset classes are "
-                        f"{[int(c) for c in dataset.classes]}"
+                        f"{[int(c) for c in classes]}"
                     )
             out["target_label"] = target
         if multiclass and method in SOLVER_METHODS and out["k"] != 1:
@@ -886,14 +949,26 @@ class ExplanationService:
         with *reqs*.
         """
         base, _ = split_fingerprint(fingerprint)
+        try:
+            # Built (if need be) before the engine lock is taken: a build
+            # waits on the mutation lock, and a mutation waits on every
+            # engine lock of the lineage.
+            engine = self.engine(base, params["metric"])
+        except ReproError as exc:
+            return [req.key for req in reqs], [error_payload(exc) for _ in reqs]
         with self._engine_lock(base, params["metric"]):
             try:
-                _, current = self._resolve(base)
+                _, current, _ = self._resolve(base)
+                with self._lock:
+                    if self._engines.get((base, params["metric"])) is not engine:
+                        raise UnknownDatasetError(
+                            f"dataset {base[:16]!r}... was removed mid-request"
+                        )
                 if method in BATCH_METHODS:
-                    payloads = self._solve_batched(base, method, params, reqs)
+                    payloads = self._solve_batched(engine, method, params, reqs)
                 else:
                     payloads = [
-                        self._solve_one(base, method, params, req.instance)
+                        self._solve_one(base, engine, method, params, req.instance)
                         for req in reqs
                     ]
             except ReproError as exc:
@@ -910,7 +985,7 @@ class ExplanationService:
 
     def _solve_batched(
         self,
-        fingerprint: str,
+        engine: QueryEngine | MultiClassEngine,
         method: str,
         params: dict,
         reqs: Sequence[ExplanationRequest],
@@ -924,7 +999,6 @@ class ExplanationService:
         ``{"r_pos": {label: v}, "r_neg": {label: v}}``), with a target it
         answers the scalar one-vs-rest shape binary requests use.
         """
-        engine = self.engine(fingerprint, params["metric"])
         k = params["k"]
         multiclass = isinstance(engine, MultiClassEngine)
         payloads: list[dict] = []
@@ -982,7 +1056,7 @@ class ExplanationService:
         return payloads
 
     def _solve_one(
-        self, fingerprint: str, method: str, params: dict, x: np.ndarray
+        self, fingerprint: str, engine, method: str, params: dict, x: np.ndarray
     ) -> dict:
         """Answer one solver-method request, reporting failures in-band.
 
@@ -991,12 +1065,12 @@ class ExplanationService:
         single-query cache mutations and excludes streaming mutations.
         """
         try:
-            return self._dispatch_solver(fingerprint, method, params, x)
+            return self._dispatch_solver(fingerprint, engine, method, params, x)
         except ReproError as exc:
             return error_payload(exc)
 
     def _dispatch_solver(
-        self, fingerprint: str, method: str, params: dict, x: np.ndarray
+        self, fingerprint: str, engine, method: str, params: dict, x: np.ndarray
     ) -> dict:
         """Route a solver method to its pipeline over the shared engine.
 
@@ -1009,7 +1083,6 @@ class ExplanationService:
         ``@vN`` lineage fingerprint of their own, so multiclass solves
         skip the warm solver pool — correctness over reuse.
         """
-        engine = self.engine(fingerprint, params["metric"])
         if isinstance(engine, MultiClassEngine):
             target = params.get("target_label")
             label = int(engine.classify(x, 1))
@@ -1113,7 +1186,7 @@ class ExplanationService:
         """
         if self.solver_pool is None:
             return None
-        _, current = self._resolve(fingerprint)
+        _, current, _ = self._resolve(fingerprint)
         return current
 
     def _note_race(self, race) -> None:
@@ -1194,7 +1267,7 @@ class ExplanationService:
         """Service counters: datasets, engines, requests, batching, cache."""
         with self._lock:
             out = {
-                "datasets": len(self._datasets),
+                "datasets": len(self._lineages),
                 "engines": len(self._engines),
                 "requests": self._requests,
                 "batches": self._batches,
@@ -1202,7 +1275,7 @@ class ExplanationService:
                 "largest_batch": self._largest_batch,
                 "mutations": self._mutations,
                 "versions": {
-                    base[:16]: version for base, version in self._versions.items()
+                    base[:16]: lineage.version for base, lineage in self._lineages.items()
                 },
                 "cache": self.cache.stats(),
                 "portfolio": {
@@ -1336,32 +1409,25 @@ class ExplanationService:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
             return (
-                f"ExplanationService(datasets={len(self._datasets)}, "
+                f"ExplanationService(datasets={len(self._lineages)}, "
                 f"backend={self.backend!r}, cache={len(self.cache)})"
             )
 
 
-def _dataset_kind(dataset) -> str:
-    """``"multiclass"`` or ``"binary"`` — the wire tag of a dataset kind."""
-    return "multiclass" if isinstance(dataset, MultiClassDataset) else "binary"
+def _counts_payload(multiclass: bool, sizes: dict) -> dict:
+    """JSON-ready shape counts from ``{label: size}`` in class order.
 
-
-def _counts_payload(dataset) -> dict:
-    """JSON-ready shape counts of either dataset kind.
-
-    Binary lineages report ``n_positive``/``n_negative``; multiclass
-    ones report the ascending ``classes`` list and a ``counts`` map of
-    per-class sizes (multiplicities included, string keys for JSON).
+    Binary lineages (labels ``True`` / ``False``) report
+    ``n_positive``/``n_negative``; multiclass ones report the ascending
+    ``classes`` list and a ``counts`` map of per-class sizes
+    (multiplicities included, string keys for JSON).
     """
-    if isinstance(dataset, MultiClassDataset):
+    if multiclass:
         return {
-            "classes": [int(c) for c in dataset.classes],
-            "counts": {str(c): int(n) for c, n in dataset.counts.items()},
+            "classes": [int(c) for c in sizes],
+            "counts": {str(c): int(n) for c, n in sizes.items()},
         }
-    return {
-        "n_positive": dataset.n_positive,
-        "n_negative": dataset.n_negative,
-    }
+    return {"n_positive": int(sizes[True]), "n_negative": int(sizes[False])}
 
 
 def _race_provenance(race) -> dict:

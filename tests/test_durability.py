@@ -91,7 +91,7 @@ def test_wal_replay_matches_functional_fold(rng, data, tmp_path):
     folded = data
     for version, (points, labels) in enumerate(batches, start=1):
         folded = folded.with_added(points, labels, None)
-        store.append_mutation(base, version, "add", folded, points, labels, None)
+        store.append_mutation(base, version, "add", points, labels, None)
     restored = store.restore(base)
     assert restored.replayed == len(batches)
     assert restored.fingerprint == versioned_fingerprint(base, len(batches))
@@ -107,7 +107,7 @@ def test_remove_batches_replay_too(rng, data, tmp_path):
     store.register(base, data)
     points, labels = data.positives[:2], [1, 1]
     folded = data.with_removed(points, labels, None)
-    store.append_mutation(base, 1, "remove", folded, points, labels, None)
+    store.append_mutation(base, 1, "remove", points, labels, None)
     restored = store.restore(base)
     assert restored.version == 1
     assert dataset_fingerprint(restored.dataset) == dataset_fingerprint(folded)
@@ -120,7 +120,7 @@ def test_snapshot_compacts_wal_and_prunes_old_snapshots(rng, data, tmp_path):
     folded = data
     for version, (points, labels) in enumerate(_batches(rng, 4), start=1):
         folded = folded.with_added(points, labels, None)
-        store.append_mutation(base, version, "add", folded, points, labels, None)
+        store.append_mutation(base, version, "add", points, labels, None)
         if store.snapshot_due(version):
             store.snapshot(base, folded, version)
     # v2 and v4 snapshots were due; keep_snapshots=1 leaves only v4, and
@@ -143,7 +143,7 @@ def test_snapshot_plus_tail_replay(rng, data, tmp_path):
     folded = data
     for version, (points, labels) in enumerate(batches, start=1):
         folded = folded.with_added(points, labels, None)
-        store.append_mutation(base, version, "add", folded, points, labels, None)
+        store.append_mutation(base, version, "add", points, labels, None)
         if version == 2:
             store.snapshot(base, folded, version)
     restored = store.restore(base)
@@ -176,7 +176,7 @@ def test_append_unknown_op_raises(data, tmp_path):
     store = DurableStore(tmp_path, snapshot_every=0)
     base = dataset_fingerprint(data)
     with pytest.raises(DurabilityError):
-        store.append_mutation(base, 1, "replace", data, data.positives[:1], [1], None)
+        store.append_mutation(base, 1, "replace", data.positives[:1], [1], None)
 
 
 # -- restore edge cases ----------------------------------------------------
@@ -191,7 +191,7 @@ def _durable_history(rng, data, tmp_path, n=4, **kwargs):
     for version, (points, labels) in enumerate(_batches(rng, n), start=1):
         folded = folded.with_added(points, labels, None)
         folds.append(folded)
-        store.append_mutation(base, version, "add", folded, points, labels, None)
+        store.append_mutation(base, version, "add", points, labels, None)
     store.close()
     return store, base, folds
 
