@@ -15,12 +15,14 @@ provided:
   are linear in the ``s_i``.
 * ``sat`` — same characterization, encoded with guarded cardinality
   constraints and minimized by bound search (a new pipeline in the
-  spirit of the paper's Section 9.2 encoding).  By default the sweep is
-  *incremental*: the characterization is encoded once, each cardinality
-  bound becomes a guarded constraint, and the bound search passes guard
-  literals as assumptions to one shared CDCL solver
-  (``sat_incremental=False`` restores the rebuild-per-bound behaviour —
-  kept as the baseline of the ``msr_incremental`` benchmark headline).
+  spirit of the paper's Section 9.2 encoding).  One sweep serves every
+  caller: the query is encoded once onto a solver entry — leased from a
+  warm :class:`~repro.solvers.sat.pool.SATSolverPool`, or a throwaway
+  one when no pool is given — each cardinality bound becomes a guarded
+  constraint, and the bound search passes guard literals as
+  assumptions to that one CDCL solver.  A private rebuild-per-bound
+  reference (a fresh entry per probed bound) is what the
+  ``msr_incremental`` benchmark headline times the sweep against.
 
 A fourth ``method="portfolio"`` routes the call through
 :mod:`repro.portfolio`: every applicable exact pipeline runs under a
@@ -52,12 +54,12 @@ from ..knn.engine import as_engine
 from ..metrics import get_metric
 from ..solvers.milp import MILPModel
 from ..solvers.sat import (
-    CNFBuilder,
     SATSolver,
+    lex_leader,
     minimize_bound,
     minimize_bound_assumptions,
 )
-from ..solvers.sat.pool import SATSolverPool, lease_or_build
+from ..solvers.sat.pool import SATSolverPool, lease_or_build, pool_key
 from .check import check_sufficient_reason
 
 
@@ -81,7 +83,6 @@ def minimum_sufficient_reason(
     max_enumeration: int | None = None,
     engine: QueryEngine | None = None,
     time_limit: float | None = None,
-    sat_incremental: bool = True,
 ) -> MinimumSRResult:
     """Compute a sufficient reason of minimum cardinality.
 
@@ -97,9 +98,9 @@ def minimum_sufficient_reason(
     caps the brute sweep in classified candidate rows (one per
     opposite-class point per Check-SR; None = no cap) and raises
     :class:`~repro.exceptions.ValidationError` past it, like
-    ``max_brute_dimension``.  ``sat_incremental`` selects the
-    assumption-based incremental sweep (default) or the legacy
-    rebuild-per-bound SAT search.
+    ``max_brute_dimension``.  ``"sat"`` runs the one SAT sweep on a
+    throwaway solver (:func:`minimum_sat_hamming_k1_pooled` with no
+    pool).
     """
     k = check_odd_k(k)
     metric = get_metric(metric)
@@ -132,9 +133,7 @@ def minimum_sufficient_reason(
             )
         if method == "milp":
             return _minimum_milp_hamming_k1(dataset, xv, engine, time_limit=time_limit)
-        return _minimum_sat_hamming_k1(
-            dataset, xv, engine, incremental=sat_incremental, time_limit=time_limit
-        )
+        return minimum_sat_hamming_k1_pooled(dataset, xv, engine, time_limit=time_limit)
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -253,61 +252,27 @@ def _minimum_milp_hamming_k1(
     return MinimumSRResult(X, len(X), "milp")
 
 
-class _BuilderSink:
-    """Encoding sink over a :class:`CNFBuilder` (the cold, one-shot path)."""
+def _encode_msr_query(
+    entry, x: np.ndarray, sources, winners, rivals, margin: int, activation: int
+) -> None:
+    """Encode one query's Proposition-6 characterization onto *entry*'s solver.
 
-    def __init__(self, builder: CNFBuilder) -> None:
-        self.builder = builder
-
-    def new_vars(self, count: int, prefix: str | None = None) -> list[int]:
-        return self.builder.new_vars(count, prefix=prefix)
-
-    def add_clause(self, lits: list[int]) -> None:
-        self.builder.add_clause(lits)
-
-    def add_at_least(self, lits: list[int], bound: int, guard: int) -> None:
-        self.builder.add_at_least(lits, bound, guard=guard)
-
-
-class _SolverSink:
-    """Encoding sink over a live pooled solver, behind an activation guard.
-
-    Every plain clause gets the query's activation literal woven in
+    Every plain clause gets the query's *activation* literal woven in
     (``g_q -> clause``), so encodings for many queries coexist on one
     warm solver and each query asserts only its own guard.  Cardinality
     constraints are already guarded by per-query pick variables, so they
     need no extra weaving: an old query's picks stay freely assignable
     and only ever *restrict* when set, never enable anything.
+    Coefficients of the distance differences live in {-2..2}; a
+    cardinality constraint takes each variable once, so coefficient 2
+    is expressed by a twin variable clamped equal to its keep indicator
+    — pure equivalences shared by every query, so added unguarded.
     """
-
-    def __init__(self, solver, activation: int) -> None:
-        self.solver = solver
-        self.activation = activation
-
-    def new_vars(self, count: int, prefix: str | None = None) -> list[int]:
-        return [self.solver.new_var() for _ in range(count)]
-
-    def add_clause(self, lits: list[int]) -> None:
-        self.solver.add_clause([-self.activation, *lits])
-
-    def add_at_least(self, lits: list[int], bound: int, guard: int) -> None:
-        self.solver.add_cardinality(lits, bound, guard=guard)
-
-
-def _encode_msr_query(
-    x: np.ndarray, sources, winners, rivals, margin: int, sink, keep, twin
-) -> None:
-    """Encode one query's Proposition-6 characterization onto *sink*.
-
-    ``keep`` are the (possibly shared) indicator variables and ``twin``
-    maps a component index to a variable clamped equal to its keep
-    indicator — the caller owns both, so the cold path and the warm
-    pool share this exact constraint generator.
-    """
+    solver, keep, twins = entry.solver, entry.state["keep"], entry.state["twins"]
     n = x.shape[0]
-    for src_idx, o in enumerate(sources):
-        picks = sink.new_vars(winners.shape[0], prefix=f"w{src_idx}")
-        sink.add_clause(list(picks))
+    for o in sources:
+        picks = solver.new_vars(winners.shape[0])
+        solver.add_clause([-activation, *picks])
         for j, w in enumerate(winners):
             const_w, coef_w = _distance_coefficients(x, o, w)
             for r in rivals:
@@ -330,141 +295,42 @@ def _encode_msr_query(
                     if d > 0:
                         bound += 1
                     if abs(d) == 2:
-                        lits.append(twin(i) if d < 0 else -twin(i))
+                        if i not in twins:
+                            twins[i] = solver.new_var()
+                            solver.add_clause([-keep[i], twins[i]])
+                            solver.add_clause([keep[i], -twins[i]])
+                        lits.append(twins[i] if d < 0 else -twins[i])
                         if d > 0:
                             bound += 1
                 if bound <= 0:
                     continue  # comparison holds for every X
                 if bound > len(lits):
-                    sink.add_clause([-picks[j]])  # never satisfiable
+                    solver.add_clause([-activation, -picks[j]])  # never satisfiable
                     break
-                sink.add_at_least(lits, bound, picks[j])
-
-
-def _encode_msr_base(
-    x: np.ndarray, sources, winners, rivals, margin: int
-) -> tuple[CNFBuilder, list[int]]:
-    """Encode the Proposition-6 characterization (without any size bound).
-
-    Returns the builder and the ``keep`` indicator variables; the bound
-    searches append their cardinality constraint afterwards — unguarded
-    for the rebuild-per-bound path, guard-per-bound for the incremental
-    assumption sweep.
-    """
-    n = x.shape[0]
-    builder = CNFBuilder()
-    keep = builder.new_vars(n, prefix="s")
-    # Coefficients of the distance differences live in {-2..2}; a
-    # cardinality constraint takes each variable once, so coefficient
-    # 2 is expressed by a twin variable clamped equal to the original.
-    twins: dict[int, int] = {}
-
-    def twin(i: int) -> int:
-        if i not in twins:
-            t = builder.new_var()
-            builder.add_clause([-keep[i], t])
-            builder.add_clause([keep[i], -t])
-            twins[i] = t
-        return twins[i]
-
-    _encode_msr_query(x, sources, winners, rivals, margin, _BuilderSink(builder), keep, twin)
-    return builder, keep
-
-
-def _minimum_sat_hamming_k1(
-    dataset: Dataset, x: np.ndarray, engine: QueryEngine,
-    *,
-    incremental: bool = True,
-    strategy: str = "binary",
-    time_limit: float | None = None,
-) -> MinimumSRResult:
-    label, sources, winners, rivals, margin = _projection_facts(dataset, x, engine)
-    n = dataset.dimension
-    if winners.shape[0] == 0:
-        return MinimumSRResult(frozenset(), 0, "sat")
-    deadline = start_deadline(time_limit)
-    remaining_budget(deadline, "minimum-SR SAT search")
-
-    if incremental:
-        # Encode once; every size bound becomes a guarded cardinality
-        # constraint switched on by its assumption literal, so the whole
-        # sweep runs on one solver with learnt clauses carried across
-        # bounds.
-        builder, keep = _encode_msr_base(x, sources, winners, rivals, margin)
-        solver = builder.build_solver()
-
-        def encode_bound(t: int) -> int:
-            guard = solver.new_var()
-            solver.add_at_most(keep, t, guard=guard)
-            return guard
-
-        def decode(model) -> frozenset[int]:
-            return frozenset(i for i in range(n) if model[keep[i]])
-
-        found = minimize_bound_assumptions(
-            solver, encode_bound, decode, 0, n,
-            strategy=strategy,
-            time_limit=remaining_budget(deadline, "minimum-SR SAT search"),
-        )
-    else:
-        # Legacy rebuild-per-bound search: re-encode the characterization
-        # and grow a fresh solver for every probed bound (the baseline
-        # contestant of the msr_incremental benchmark headline).
-        def feasible(t: int):
-            remaining = remaining_budget(deadline, "minimum-SR SAT search")
-            builder, keep = _encode_msr_base(x, sources, winners, rivals, margin)
-            builder.add_at_most(keep, t)
-            model = builder.build_solver().solve(time_limit=remaining)
-            if model is None:
-                return None
-            return frozenset(i for i in range(n) if model[keep[i]])
-
-        found = minimize_bound(feasible, 0, n, strategy=strategy)
-
-    assert found is not None, "the full component set is always sufficient"
-    size, X = found
-    _assert_sufficient(dataset, x, X, engine)
-    return MinimumSRResult(X, len(X), "sat")
+                solver.add_cardinality(lits, bound, guard=picks[j])
 
 
 # ---------------------------------------------------------------------------
-# Warm-pool variants and the canonical (lex-min) witness
+# The one SAT sweep, its rebuild-per-bound reference, and the canonical witness
 # ---------------------------------------------------------------------------
 
 
 def _build_msr_entry(n: int):
-    """Build the shared half of a pooled MSR entry: solver + keep vars."""
+    """Build the shared half of an MSR entry: solver + keep vars."""
     solver = SATSolver(0)
-    keep = [solver.new_var() for _ in range(n)]
+    keep = solver.new_vars(n)
     state: dict = {"keep": keep, "twins": {}, "bounds": {}, "queries": {}}
     return solver, state
 
 
 def _ensure_msr_query(entry, x, sources, winners, rivals, margin: int) -> int:
-    """Encode this query onto the pooled solver once; return its guard."""
-    solver, state = entry.solver, entry.state
+    """Encode this query onto the entry's solver once; return its guard."""
     xb = x.tobytes()
-    guard = state["queries"].get(xb)
-    if guard is not None:
-        return guard
-    guard = solver.new_var()
-    keep = state["keep"]
-    twins = state["twins"]
-
-    def twin(i: int) -> int:
-        # Twin definitions are pure equivalences shared by every query,
-        # so they are added unguarded, directly on the solver.
-        if i not in twins:
-            t = solver.new_var()
-            solver.add_clause([-keep[i], t])
-            solver.add_clause([keep[i], -t])
-            twins[i] = t
-        return twins[i]
-
-    _encode_msr_query(
-        x, sources, winners, rivals, margin, _SolverSink(solver, guard), keep, twin
-    )
-    state["queries"][xb] = guard
+    guard = entry.state["queries"].get(xb)
+    if guard is None:
+        guard = entry.solver.new_var()
+        _encode_msr_query(entry, x, sources, winners, rivals, margin, guard)
+        entry.state["queries"][xb] = guard
     return guard
 
 
@@ -482,28 +348,31 @@ def _ensure_msr_bound(entry, t: int) -> int:
 def minimum_sat_hamming_k1_pooled(
     dataset: Dataset,
     x: np.ndarray,
-    engine: QueryEngine,
+    engine: QueryEngine | None = None,
     *,
     solver_pool: SATSolverPool | None = None,
     fingerprint: str | None = None,
     strategy: str = "binary",
     time_limit: float | None = None,
 ) -> MinimumSRResult:
-    """Incremental Minimum-SR sweep over a warm pooled solver.
+    """The one incremental Minimum-SR SAT sweep (discrete setting, k = 1).
 
-    Semantically identical to the incremental path of
-    :func:`_minimum_sat_hamming_k1` — the optimal *size* is a pure
-    feasibility question, so warm learnt clauses change speed, never
-    the answer — but the encoding shared across queries on the same
-    dataset version is reused instead of rebuilt.  With
-    ``solver_pool=None`` the entry is ephemeral (cold but single-path).
+    The query is encoded once onto a solver entry and the size bound is
+    swept through guard assumptions.  With a *solver_pool* the entry is
+    the warm one for this dataset version and label (see
+    :func:`~repro.solvers.sat.pool.pool_key`; *fingerprint* names the
+    version), so the encoding is reused across queries; without one it
+    is a throwaway.  The optimal *size* is a pure feasibility question,
+    so warm learnt clauses change speed, never the answer.  ``engine``
+    defaults to a fresh one (race workers carry none).
     """
+    engine = as_engine(dataset, "hamming", engine)
     label, sources, winners, rivals, margin = _projection_facts(dataset, x, engine)
     n = dataset.dimension
     if winners.shape[0] == 0:
         return MinimumSRResult(frozenset(), 0, "sat")
     deadline = start_deadline(time_limit)
-    key = (fingerprint or "", "msr", 1, label, n)
+    key = pool_key(dataset, "msr", label, solver_pool, fingerprint)
     with lease_or_build(solver_pool, key, lambda: _build_msr_entry(n)) as entry:
         remaining_budget(deadline, "minimum-SR SAT search")
         guard = _ensure_msr_query(entry, x, sources, winners, rivals, margin)
@@ -518,8 +387,49 @@ def minimum_sat_hamming_k1_pooled(
             time_limit=remaining_budget(deadline, "minimum-SR SAT search"),
             assumptions=(guard,),
         )
+    return _sat_answer(dataset, x, engine, found)
+
+
+def _minimum_sat_rebuild(
+    dataset: Dataset,
+    x: np.ndarray,
+    engine: QueryEngine,
+    *,
+    strategy: str = "binary",
+    time_limit: float | None = None,
+) -> MinimumSRResult:
+    """Rebuild-per-bound reference of the SAT sweep: a fresh entry per bound.
+
+    Same encoding and bound search as
+    :func:`minimum_sat_hamming_k1_pooled`, but every probed bound
+    encodes the query onto a new throwaway solver, so nothing learnt
+    carries over.  The ``msr_incremental`` benchmark headline times the
+    sweep against it, and tests compare optimum sizes with it.
+    """
+    label, sources, winners, rivals, margin = _projection_facts(dataset, x, engine)
+    n = dataset.dimension
+    if winners.shape[0] == 0:
+        return MinimumSRResult(frozenset(), 0, "sat")
+    deadline = start_deadline(time_limit)
+
+    def feasible(t: int):
+        remaining = remaining_budget(deadline, "minimum-SR SAT search")
+        with lease_or_build(None, (), lambda: _build_msr_entry(n)) as entry:
+            guard = _ensure_msr_query(entry, x, sources, winners, rivals, margin)
+            model = entry.solver.solve(
+                [guard, _ensure_msr_bound(entry, t)], time_limit=remaining
+            )
+        if model is None:
+            return None
+        return frozenset(i for i in range(n) if model[entry.state["keep"][i]])
+
+    return _sat_answer(dataset, x, engine, minimize_bound(feasible, 0, n, strategy=strategy))
+
+
+def _sat_answer(dataset: Dataset, x: np.ndarray, engine: QueryEngine, found) -> MinimumSRResult:
+    """The verified answer of a bound search's ``(size, X)`` result."""
     assert found is not None, "the full component set is always sufficient"
-    _size, X = found
+    X = found[1]
     _assert_sufficient(dataset, x, X, engine)
     return MinimumSRResult(X, len(X), "sat")
 
@@ -540,44 +450,28 @@ def minimum_sr_canonical_witness(
     return different witnesses; the portfolio replaces the winner's
     witness with this canonical one so its answers are bit-identical
     regardless of which method (or race schedule) won.  The extraction
-    is the classic lex-leader walk: ascending component index, prefer
-    *include*, each preference settled by a feasibility probe under the
-    ``|X| <= size`` guard — with the current model reused to skip
-    probes whose answer it already witnesses.  By construction this
-    equals the first subset ``combinations(range(n), size)`` order
-    would hit, i.e. exactly what the brute pipeline returns.
+    is the lex-leader walk (:func:`~repro.solvers.sat.lex_leader`):
+    ascending component index, prefer *include*, under the
+    ``|X| <= size`` guard.  By construction this equals the first
+    subset ``combinations(range(n), size)`` order would hit, i.e.
+    exactly what the brute pipeline returns.
     """
     label, sources, winners, rivals, margin = _projection_facts(dataset, x, engine)
     n = dataset.dimension
     if winners.shape[0] == 0 or size <= 0:
         return frozenset()
     deadline = start_deadline(time_limit)
-    key = (fingerprint or "", "msr", 1, label, n)
+    key = pool_key(dataset, "msr", label, solver_pool, fingerprint)
     with lease_or_build(solver_pool, key, lambda: _build_msr_entry(n)) as entry:
-        solver, keep = entry.solver, entry.state["keep"]
         query = _ensure_msr_query(entry, x, sources, winners, rivals, margin)
         bound = _ensure_msr_bound(entry, size)
-        fixed = [query, bound]
-        decided: list[int] = []
-        chosen: set[int] = set()
-        model = None
-        for i in range(n):
-            if model is not None and model[keep[i]]:
-                decided.append(keep[i])
-                chosen.add(i)
-            else:
-                remaining = remaining_budget(deadline, "canonical-witness extraction")
-                probe = solver.solve([*fixed, *decided, keep[i]], time_limit=remaining)
-                if probe is not None:
-                    model = probe
-                    decided.append(keep[i])
-                    chosen.add(i)
-                else:
-                    # Excluding i keeps the prefix feasible (it was
-                    # feasible before the probe), so walk on.
-                    decided.append(-keep[i])
-            if len(chosen) == size:
-                break  # every model at this bound has exactly `size` kept
+        chosen = lex_leader(
+            entry.solver,
+            entry.state["keep"],
+            size,
+            assumptions=(query, bound),
+            time_limit=remaining_budget(deadline, "canonical-witness extraction"),
+        )
     X = frozenset(chosen)
     _assert_sufficient(dataset, x, X, engine)
     return X

@@ -151,7 +151,7 @@ def closest_counterfactual(
         if method == "hamming-milp":
             return hamming_milp.closest_counterfactual_hamming_milp(dataset, k, xv, **kwargs)
         if method == "hamming-sat":
-            return hamming_sat.closest_counterfactual_hamming_sat(dataset, k, xv, **kwargs)
+            return hamming_sat.closest_counterfactual_hamming_sat_pooled(dataset, k, xv, **kwargs)
         return brute.closest_counterfactual_hamming_brute(dataset, k, xv, **kwargs)
     raise ValidationError(f"unknown method {method!r}")
 

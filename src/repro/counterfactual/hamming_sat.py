@@ -18,11 +18,15 @@ guarded by ``c_t`` — for ``margin = 1`` exactly the paper's
 counterfactual is found by searching the smallest feasible bound
 (binary or linear, Section 9.2's closing remark).
 
-The sweep is incremental by default: the flip encoding is built once,
-each probed distance bound becomes a guarded cardinality constraint on
-the same solver, and the bound search activates one guard per probe
-through the assumption interface — rebuilding encoding and solver per
-bound (``incremental=False``) is kept as the measurable baseline.
+One sweep serves every caller: the flip encoding lives on a solver
+entry built once per dataset version and label — leased from a warm
+:class:`~repro.solvers.sat.pool.SATSolverPool`, or a throwaway one when
+no pool is given — each probed distance bound becomes a guarded
+cardinality constraint on that solver, and the bound search activates
+one guard per probe through the assumption interface.  A private
+rebuild-per-bound reference (a fresh entry per probed bound) is kept
+for tests to compare against, and the lex-leader walk over the same
+entry yields the canonical witness.
 """
 
 from __future__ import annotations
@@ -36,8 +40,13 @@ from .._validation import check_odd_k
 from ..exceptions import UnsupportedSettingError
 from ..knn import Dataset, QueryEngine
 from ..knn.engine import as_engine
-from ..solvers.sat import CNFBuilder, minimize_bound, minimize_bound_assumptions
-from ..solvers.sat.pool import SATSolverPool, lease_or_build
+from ..solvers.sat import (
+    CNFBuilder,
+    lex_leader,
+    minimize_bound,
+    minimize_bound_assumptions,
+)
+from ..solvers.sat.pool import SATSolverPool, lease_or_build, pool_key
 from . import CounterfactualResult
 
 
@@ -70,103 +79,13 @@ def build_flip_encoding(
     return builder, y
 
 
-def add_distance_bound(builder: CNFBuilder, y: list[int], x: np.ndarray, t: int) -> None:
-    """Append ``d_H(x, y) <= t`` as an at-least cardinality constraint."""
-    n = x.shape[0]
-    agree_lits = [y[i] if x[i] == 1 else -y[i] for i in range(n)]
-    builder.add_at_least(agree_lits, n - t)
-
-
-def closest_counterfactual_hamming_sat(
-    dataset: Dataset,
-    k: int,
-    x: np.ndarray,
-    *,
-    strategy: str = "binary",
-    conflict_limit: int | None = None,
-    query_engine: QueryEngine | None = None,
-    incremental: bool = True,
-    time_limit: float | None = None,
-) -> CounterfactualResult:
-    """Closest Hamming counterfactual by SAT + bound search (k = 1).
-
-    ``incremental`` (default) encodes the flipped-classification formula
-    once and sweeps the distance bound through guard assumptions on one
-    solver; ``incremental=False`` rebuilds encoding and solver per bound
-    (the benchmark baseline).  ``time_limit`` caps the whole search in
-    wall-clock seconds.
-    """
+def _check_k1(k: int) -> None:
     check_odd_k(k)
     if k != 1:
         raise UnsupportedSettingError(
             "the Section 9.2 SAT encoding targets k = 1; use hamming-milp "
             "with the enumerated formulation for k >= 3"
         )
-    knn = as_engine(dataset, "hamming", query_engine)
-    label = knn.classify(x, 1)
-    expanded = dataset.expanded()
-    if label == 1:
-        winning, losing, margin = expanded.negatives, expanded.positives, 1
-    else:
-        winning, losing, margin = expanded.positives, expanded.negatives, 0
-    if winning.shape[0] == 0:
-        return CounterfactualResult(
-            y=None, distance=np.inf, infimum=np.inf, label_from=label, method="hamming-sat"
-        )
-    n = dataset.dimension
-
-    def decode(model) -> np.ndarray:
-        return np.array([1.0 if model[v] else 0.0 for v in y_vars])
-
-    if incremental:
-        builder, y_vars = build_flip_encoding(x, winning, losing, margin)
-        solver = builder.build_solver(conflict_limit=conflict_limit)
-        agree_lits = [y_vars[i] if x[i] == 1 else -y_vars[i] for i in range(n)]
-
-        def encode_bound(t: int) -> int:
-            guard = solver.new_var()
-            # d_H(x, y) <= t  ==  at least n - t coordinates agree with x.
-            solver.add_cardinality(agree_lits, n - t, guard=guard)
-            return guard
-
-        found = minimize_bound_assumptions(
-            solver, encode_bound, decode, 1, n,
-            strategy=strategy, time_limit=time_limit,
-        )
-    else:
-        deadline = start_deadline(time_limit)
-
-        def feasible(t: int):
-            nonlocal y_vars
-            remaining = remaining_budget(deadline, "hamming counterfactual SAT search")
-            builder, y_vars = build_flip_encoding(x, winning, losing, margin)
-            add_distance_bound(builder, y_vars, x, t)
-            solver = builder.build_solver(conflict_limit=conflict_limit)
-            model = solver.solve(time_limit=remaining)
-            if model is None:
-                return None
-            return decode(model)
-
-        y_vars: list[int] = []
-        found = minimize_bound(feasible, 1, n, strategy=strategy)
-    if found is None:
-        return CounterfactualResult(
-            y=None, distance=np.inf, infimum=np.inf, label_from=label, method="hamming-sat"
-        )
-    t, y_val = found
-    distance = float(np.abs(y_val - x).sum())
-    return CounterfactualResult(
-        y=y_val,
-        distance=distance,
-        infimum=distance,
-        label_from=label,
-        method="hamming-sat",
-    )
-
-
-# ---------------------------------------------------------------------------
-# Warm-pool variants and the canonical (lex-min) witness
-# ---------------------------------------------------------------------------
 
 
 def _cf_facts(dataset: Dataset, x: np.ndarray, query_engine: QueryEngine | None):
@@ -182,7 +101,7 @@ def _cf_facts(dataset: Dataset, x: np.ndarray, query_engine: QueryEngine | None)
 
 
 def _build_cf_entry(x: np.ndarray, winning, losing, margin: int):
-    """Build a pooled counterfactual entry: flip encoding on a live solver.
+    """Build a counterfactual entry: flip encoding on a live solver.
 
     The flip constraints only mention the dataset points (``x`` supplies
     the dimension), so one entry serves every query with this label on
@@ -200,11 +119,24 @@ def _ensure_cf_bound(entry, x: np.ndarray, t: int) -> int:
     if guard is None:
         y = entry.state["y"]
         n = x.shape[0]
+        # d_H(x, y) <= t  ==  at least n - t coordinates agree with x.
         agree = [y[i] if x[i] == 1 else -y[i] for i in range(n)]
         guard = entry.solver.new_var()
         entry.solver.add_cardinality(agree, n - t, guard=guard)
         entry.state["bounds"][key] = guard
     return guard
+
+
+def _decode(entry, model) -> np.ndarray:
+    return np.array([1.0 if model[v] else 0.0 for v in entry.state["y"]])
+
+
+def _result(x: np.ndarray, label: int, y_val: np.ndarray | None) -> CounterfactualResult:
+    """The answer for counterfactual *y_val*, or "none exists" when it is None."""
+    distance = np.inf if y_val is None else float(np.abs(y_val - x).sum())
+    return CounterfactualResult(
+        y=y_val, distance=distance, infimum=distance, label_from=label, method="hamming-sat"
+    )
 
 
 def closest_counterfactual_hamming_sat_pooled(
@@ -218,53 +150,70 @@ def closest_counterfactual_hamming_sat_pooled(
     query_engine: QueryEngine | None = None,
     time_limit: float | None = None,
 ) -> CounterfactualResult:
-    """Incremental counterfactual sweep over a warm pooled solver.
+    """The one closest-counterfactual SAT sweep (k = 1).
 
-    Same optimal distance as :func:`closest_counterfactual_hamming_sat`
-    — feasibility verdicts do not depend on warm solver state — but the
-    flip encoding shared by every query with this label on this dataset
-    version is built once and reused.  ``solver_pool=None`` degrades to
-    an ephemeral (cold) entry.
+    The distance bound is swept through guard assumptions on one solver
+    entry carrying the flip encoding.  With a *solver_pool* the entry is
+    the warm one for this dataset version and label (see
+    :func:`~repro.solvers.sat.pool.pool_key`; *fingerprint* names the
+    version), so the encoding is built once across queries; without one
+    it is a throwaway.  Feasibility verdicts do not depend on warm
+    solver state, so the optimal distance is the same either way.
+    ``time_limit`` caps the whole search in wall-clock seconds.
     """
-    check_odd_k(k)
-    if k != 1:
-        raise UnsupportedSettingError(
-            "the Section 9.2 SAT encoding targets k = 1; use hamming-milp "
-            "with the enumerated formulation for k >= 3"
-        )
+    _check_k1(k)
     _, label, winning, losing, margin = _cf_facts(dataset, x, query_engine)
     if winning.shape[0] == 0:
-        return CounterfactualResult(
-            y=None, distance=np.inf, infimum=np.inf, label_from=label, method="hamming-sat"
-        )
-    n = dataset.dimension
-    key = (fingerprint or "", "cf", 1, label, n)
+        return _result(x, label, None)
+    key = pool_key(dataset, "cf", label, solver_pool, fingerprint)
     with lease_or_build(
         solver_pool, key, lambda: _build_cf_entry(x, winning, losing, margin)
     ) as entry:
-        y_vars = entry.state["y"]
         found = minimize_bound_assumptions(
             entry.solver,
             lambda t: _ensure_cf_bound(entry, x, t),
-            lambda model: np.array([1.0 if model[v] else 0.0 for v in y_vars]),
+            lambda model: _decode(entry, model),
             1,
-            n,
+            dataset.dimension,
             strategy=strategy,
             time_limit=time_limit,
         )
-    if found is None:
-        return CounterfactualResult(
-            y=None, distance=np.inf, infimum=np.inf, label_from=label, method="hamming-sat"
-        )
-    _t, y_val = found
-    distance = float(np.abs(y_val - x).sum())
-    return CounterfactualResult(
-        y=y_val,
-        distance=distance,
-        infimum=distance,
-        label_from=label,
-        method="hamming-sat",
-    )
+    return _result(x, label, None if found is None else found[1])
+
+
+def _closest_counterfactual_sat_rebuild(
+    dataset: Dataset,
+    k: int,
+    x: np.ndarray,
+    *,
+    strategy: str = "binary",
+    query_engine: QueryEngine | None = None,
+    time_limit: float | None = None,
+) -> CounterfactualResult:
+    """Rebuild-per-bound reference of the SAT sweep: a fresh entry per bound.
+
+    Same encoding and bound search as
+    :func:`closest_counterfactual_hamming_sat_pooled`, but every probed
+    bound builds the flip encoding onto a new throwaway solver, so
+    nothing learnt carries over.  Tests compare optimal distances with
+    it.
+    """
+    _check_k1(k)
+    _, label, winning, losing, margin = _cf_facts(dataset, x, query_engine)
+    if winning.shape[0] == 0:
+        return _result(x, label, None)
+    deadline = start_deadline(time_limit)
+
+    def feasible(t: int):
+        remaining = remaining_budget(deadline, "hamming counterfactual SAT search")
+        with lease_or_build(
+            None, (), lambda: _build_cf_entry(x, winning, losing, margin)
+        ) as entry:
+            model = entry.solver.solve([_ensure_cf_bound(entry, x, t)], time_limit=remaining)
+        return None if model is None else _decode(entry, model)
+
+    found = minimize_bound(feasible, 1, dataset.dimension, strategy=strategy)
+    return _result(x, label, None if found is None else found[1])
 
 
 def counterfactual_canonical_witness(
@@ -284,45 +233,30 @@ def counterfactual_canonical_witness(
     component indices) is lexicographically smallest — exactly the
     first point the brute pipeline's ``combinations`` enumeration would
     hit, so every portfolio winner canonicalizes to the same array.
-    The walk prefers flipping each ascending index, settling each
-    preference with a feasibility probe under the ``d_H(x, y) <= t``
-    guard (the current model short-circuits probes it already
-    witnesses; every model under the guard sits at exactly the optimal
-    distance, so prefixes stay feasible).
+    The extraction is the lex-leader walk
+    (:func:`~repro.solvers.sat.lex_leader`): ascending index, prefer
+    *flip*, under the ``d_H(x, y) <= t`` guard, where every model sits
+    at exactly the optimal distance.
     """
     knn, label, winning, losing, margin = _cf_facts(dataset, x, query_engine)
-    n = dataset.dimension
     t = int(distance)
-    key = (fingerprint or "", "cf", 1, label, n)
+    key = pool_key(dataset, "cf", label, solver_pool, fingerprint)
     deadline = start_deadline(time_limit)
     with lease_or_build(
         solver_pool, key, lambda: _build_cf_entry(x, winning, losing, margin)
     ) as entry:
-        solver, y = entry.solver, entry.state["y"]
-        guard = _ensure_cf_bound(entry, x, t)
-        decided: list[int] = []
-        flips: set[int] = set()
-        model = None
-        for i in range(n):
-            # "Flip i" as a literal: y_i takes the value opposite x_i.
-            flip_lit = -y[i] if x[i] == 1 else y[i]
-            if model is not None and (model[y[i]] != (x[i] == 1)):
-                decided.append(flip_lit)
-                flips.add(i)
-            else:
-                remaining = remaining_budget(deadline, "canonical-witness extraction")
-                probe = solver.solve([guard, *decided, flip_lit], time_limit=remaining)
-                if probe is not None:
-                    model = probe
-                    decided.append(flip_lit)
-                    flips.add(i)
-                else:
-                    decided.append(-flip_lit)
-            if len(flips) == t:
-                break  # every model under the guard flips exactly t bits
+        y = entry.state["y"]
+        # "Flip i" as a literal: y_i takes the value opposite x_i.
+        flips = [-y[i] if x[i] == 1 else y[i] for i in range(x.shape[0])]
+        chosen = lex_leader(
+            entry.solver,
+            flips,
+            t,
+            assumptions=(_ensure_cf_bound(entry, x, t),),
+            time_limit=remaining_budget(deadline, "canonical-witness extraction"),
+        )
     y_val = np.array(x, dtype=float)
-    for i in flips:
-        y_val[i] = 1.0 - y_val[i]
+    y_val[chosen] = 1.0 - y_val[chosen]
     if knn.classify(y_val, 1) == label:  # pragma: no cover - encoding bug guard
         raise AssertionError("canonical counterfactual fails to flip the label")
     return y_val

@@ -41,9 +41,12 @@ This module races them:
 
 A warm :class:`~repro.solvers.sat.pool.SATSolverPool` may be passed so
 the SAT sweeps and the canonicalization probes reuse one incremental
-solver per (dataset version, label) across related queries —
-mutations must invalidate by fingerprint exactly like result caches
-(the serve layer wires this up automatically).
+solver per (dataset version, label) across related queries; without
+one they run on a throwaway solver.
+:func:`~repro.solvers.sat.pool.pool_key` names the version: the
+caller's ``fingerprint``, else the dataset's content hash.  Mutations
+must invalidate by fingerprint exactly like result caches (the serve
+layer wires this up automatically).
 
 Budgets are enforced cooperatively through the ``time_limit`` plumbing
 of the underlying solvers (SAT conflict loop, HiGHS ``time_limit``,
@@ -130,24 +133,6 @@ class PortfolioResult:
     attempts: tuple[PortfolioAttempt, ...]
     mode: str = "sequential"
     canonical: bool = False
-
-
-def _pool_fingerprint(
-    dataset: Dataset, solver_pool: SATSolverPool | None, fingerprint: str | None
-) -> str | None:
-    """The pool key fingerprint: caller-supplied, else content-addressed.
-
-    A shared pool must never mix datasets under one key, so when the
-    caller passes a pool without a fingerprint we fall back to the
-    exact content hash (the serve layer passes its versioned ``@vN``
-    fingerprints instead, which is what makes mutation-driven pool
-    invalidation line up with result-cache invalidation).
-    """
-    if solver_pool is None or fingerprint is not None:
-        return fingerprint
-    from .serve.cache import dataset_fingerprint  # local: avoids an import cycle
-
-    return dataset_fingerprint(dataset)
 
 
 def _canonical_msr(result, task: dict):
@@ -270,9 +255,6 @@ def _race(
     task = {**task, "brute_cap": BRUTE_CAP}
     budget = task["budget"]
     here = {**task, **local}
-    here["fingerprint"] = _pool_fingerprint(
-        task["dataset"], local["solver_pool"], local["fingerprint"]
-    )
     start = perf_counter()
     outcome = None
     if parallel and not (budget is not None and budget <= 0):

@@ -53,6 +53,8 @@ else, which is where a serving process beats one-shot CLI calls.
 from __future__ import annotations
 
 import asyncio
+import math
+import numbers
 import pickle
 import threading
 from contextlib import contextmanager
@@ -793,8 +795,7 @@ class ExplanationService:
             )
         if method in ("minimum_sr", "counterfactual"):
             out["solver"] = str(params.pop("solver", "auto"))
-            budget = params.pop("budget", None)
-            out["budget"] = None if budget is None else float(budget)
+            out["budget"] = _budget_seconds(params.pop("budget", None))
         if params:
             raise ValidationError(
                 f"unknown params for method {method!r}: {sorted(params)}"
@@ -1412,6 +1413,26 @@ class ExplanationService:
                 f"ExplanationService(datasets={len(self._lineages)}, "
                 f"backend={self.backend!r}, cache={len(self.cache)})"
             )
+
+
+def _budget_seconds(budget) -> float | None:
+    """A solver ``budget`` param: null, or a finite number of seconds >= 0.
+
+    NaN would compare false against every deadline and lift the cap
+    silently, so it is refused like any other non-number.
+    """
+    if budget is None:
+        return None
+    if (
+        isinstance(budget, bool)
+        or not isinstance(budget, numbers.Real)
+        or not math.isfinite(budget)
+        or budget < 0
+    ):
+        raise ValidationError(
+            f"budget must be a finite number of seconds >= 0 or null, got {budget!r}"
+        )
+    return float(budget)
 
 
 def _counts_payload(multiclass: bool, sizes: dict) -> dict:

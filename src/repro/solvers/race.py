@@ -70,35 +70,37 @@ def run_attempt(
     """Run one exact *method* of *task*; returns the pipeline's answer.
 
     In-process tasks carry the shared ``engine`` and may carry a warm
-    ``solver_pool`` (with its ``fingerprint``), which routes the k = 1
-    SAT members through their pooled variants; worker tasks carry
-    neither.  *cap* bounds the brute members' enumeration in classified
-    candidate rows (None = their own default).  Imports are local:
-    :mod:`repro.solvers` sits below the pipelines that build on it.
+    ``solver_pool`` (with its ``fingerprint``); worker tasks carry
+    neither.  The k = 1 Hamming SAT members go straight to the one SAT
+    sweep, on the pool when there is one and on a throwaway solver
+    otherwise.  *cap* bounds the brute members' enumeration in
+    classified candidate rows (None = their own default).  Imports are
+    local: :mod:`repro.solvers` sits below the pipelines that build on
+    it.
     """
     from ..abductive.minimum import minimum_sat_hamming_k1_pooled, minimum_sufficient_reason
     from ..counterfactual import closest_counterfactual
     from ..counterfactual.hamming_sat import closest_counterfactual_hamming_sat_pooled
 
     dataset, k, metric, x = task["dataset"], task["k"], task["metric"], task["x"]
-    engine, pool = task.get("engine"), task.get("solver_pool")
-    pooled = pool is not None and k == 1
+    engine = task.get("engine")
+    sweep = {
+        "solver_pool": task.get("solver_pool"),
+        "fingerprint": task.get("fingerprint"),
+        "time_limit": budget,
+    }
+    one_sat = k == 1 and metric == "hamming"
     if task["kind"] == "msr":
-        if pooled and method == "sat" and metric == "hamming":
-            return minimum_sat_hamming_k1_pooled(
-                dataset, x, engine,
-                solver_pool=pool, fingerprint=task["fingerprint"], time_limit=budget,
-            )
+        if method == "sat" and one_sat:
+            return minimum_sat_hamming_k1_pooled(dataset, x, engine, **sweep)
         return minimum_sufficient_reason(
             dataset, k, metric, x,
             method=method, engine=engine, time_limit=budget,
             max_brute_dimension=task["max_brute_dimension"], max_enumeration=cap,
         )
-    if pooled and method == "hamming-sat":
+    if method == "hamming-sat" and one_sat:
         return closest_counterfactual_hamming_sat_pooled(
-            dataset, k, x,
-            solver_pool=pool, fingerprint=task["fingerprint"],
-            query_engine=engine, time_limit=budget,
+            dataset, k, x, query_engine=engine, **sweep
         )
     capped = {"max_enumeration": cap} if method == "hamming-brute" and cap is not None else {}
     return closest_counterfactual(

@@ -12,7 +12,8 @@ package is an offline, from-scratch equivalent:
   restarts) extended with counter-based propagation of cardinality
   constraints (:mod:`cardinality`);
 * :mod:`search` — linear/binary-search drivers that minimize a bound by
-  repeated SAT calls, as the paper does for the Hamming distance;
+  repeated SAT calls, as the paper does for the Hamming distance, and
+  the lex-leader walk that canonicalizes the optimal witness;
 * :mod:`pool` — a warm pool of incremental solvers whose learnt clauses
   and heuristic state persist across related queries, keyed by dataset
   version so mutations invalidate them like result caches.
@@ -24,7 +25,7 @@ from .cnf import CNFBuilder
 from .pool import PoolEntry, SATSolverPool
 from .solver import SATSolver, Model
 from .types import CardinalityConstraint, neg
-from .search import minimize_bound, minimize_bound_assumptions
+from .search import lex_leader, minimize_bound, minimize_bound_assumptions
 
 __all__ = [
     "CNFBuilder",
@@ -34,6 +35,7 @@ __all__ = [
     "neg",
     "minimize_bound",
     "minimize_bound_assumptions",
+    "lex_leader",
     "PoolEntry",
     "SATSolverPool",
 ]

@@ -9,18 +9,21 @@ query against the same dataset version reuses that solver — learnt
 clauses, VSIDS activities and phase saving intact — adding only its
 small query-specific slice of clauses under a fresh activation guard.
 
-Entries are keyed by a tuple whose first element is a dataset
-fingerprint — the serve layer passes the PR-5 versioned form
-(``<fp>@vN``), so a mutation invalidates pooled solvers exactly like
-result-cache entries: :meth:`SATSolverPool.invalidate` accepts either
-the exact versioned fingerprint or a bare base fingerprint (which
-matches every ``@vN`` of that lineage).
+Every key comes from :func:`pool_key`, ``(dataset version, kind, 1,
+label, n)``.  The version is the caller's fingerprint — the serve layer
+passes its versioned form (``<fp>@vN``), so a mutation invalidates
+pooled solvers exactly like result-cache entries — else, when a pool is
+given, the dataset's content hash, so a shared pool never mixes two
+datasets under one key.  :meth:`SATSolverPool.invalidate` accepts
+either the exact versioned fingerprint or a bare base fingerprint
+(which matches every ``@vN`` of that lineage).
 
 Correctness never depends on pooling: pooled solvers answer
 *feasibility* questions (optimal bounds, lex-min witness probes), and
 SAT/UNSAT verdicts are independent of learnt-clause or heuristic
-state.  The portfolio therefore returns bit-identical answers warm or
-cold — the pool only changes how fast they arrive.
+state.  The portfolio therefore returns bit-identical answers on a warm
+pooled solver or a throwaway one — the pool only changes how fast they
+arrive.
 """
 
 from __future__ import annotations
@@ -32,11 +35,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any
 
-__all__ = ["PoolEntry", "SATSolverPool", "lease_or_build"]
+__all__ = ["PoolEntry", "SATSolverPool", "lease_or_build", "pool_key"]
 
 PoolKey = tuple
-"""Pool key: ``(fingerprint, kind, k, label)`` by convention; the first
-element must be the dataset fingerprint string used for invalidation."""
+"""Pool key: ``(dataset version, kind, 1, label, n)``, built by
+:func:`pool_key`; the first element is the fingerprint string
+:meth:`SATSolverPool.invalidate` matches."""
+
+#: leases after which an entry is recycled, so accumulated learnt
+#: clauses and query guards cannot grow without bound.
+MAX_QUERIES = 512
 
 
 @dataclass
@@ -62,14 +70,12 @@ class SATSolverPool:
     Thread-safe: each entry carries its own lock, held for the duration
     of a :meth:`lease`; concurrent leases of *different* keys proceed in
     parallel.  ``max_entries`` bounds how many live solvers exist at
-    once (least-recently-leased evicted first); ``max_queries`` recycles
-    an entry after that many leases so accumulated learnt clauses and
-    query guards cannot grow without bound.
+    once (least-recently-leased evicted first); an entry is recycled
+    after :data:`MAX_QUERIES` leases.
     """
 
-    def __init__(self, *, max_entries: int = 32, max_queries: int = 512) -> None:
+    def __init__(self, *, max_entries: int = 32) -> None:
         self.max_entries = int(max_entries)
-        self.max_queries = int(max_queries)
         self._entries: OrderedDict[PoolKey, PoolEntry] = OrderedDict()
         self._lock = threading.Lock()
         self._counters = {
@@ -102,7 +108,7 @@ class SATSolverPool:
             return
         with self._lock:
             entry = self._entries.get(key)
-            if entry is not None and entry.queries >= self.max_queries:
+            if entry is not None and entry.queries >= MAX_QUERIES:
                 # Recycled: the accumulated guards/learnts are dropped
                 # and the next lease rebuilds from the dataset encoding.
                 del self._entries[key]
@@ -112,7 +118,7 @@ class SATSolverPool:
                 self._counters["misses"] += 1
                 entry = PoolEntry(key=key, solver=None, state={})
                 self._entries[key] = entry
-                self._evict_over_capacity()
+                self._evict_over_capacity(key)
             else:
                 self._counters["hits"] += 1
             self._entries.move_to_end(key)
@@ -122,13 +128,14 @@ class SATSolverPool:
             entry.queries += 1
             yield entry
 
-    def _evict_over_capacity(self) -> None:
+    def _evict_over_capacity(self, leasing: PoolKey) -> None:
         # Caller holds self._lock.  Entries whose lease lock is held are
         # skipped: evicting them would pull a live solver out from under
-        # a solve in progress.
+        # a solve in progress.  So is the entry being leased, whose lock
+        # is not taken yet.
         while len(self._entries) > self.max_entries:
             for key, entry in self._entries.items():
-                if not entry.lock.locked():
+                if key != leasing and not entry.lock.locked():
                     del self._entries[key]
                     self._counters["evictions"] += 1
                     break
@@ -189,9 +196,9 @@ def lease_or_build(
 ) -> Iterator[PoolEntry]:
     """Lease *key* from *pool*, or build a throwaway entry when pool is None.
 
-    The encodings call this so the warm-pool and the cold path share
-    one code path: with no pool the entry lives for a single ``with``
-    block and is discarded afterwards.
+    Every SAT sweep and canonical walk runs through this, so a warm pool
+    and no pool share one code path: with no pool the entry lives for a
+    single ``with`` block and is discarded afterwards.
     """
     if pool is None:
         solver, state = build()
@@ -199,3 +206,20 @@ def lease_or_build(
         return
     with pool.lease(key, build) as entry:
         yield entry
+
+
+def pool_key(
+    dataset, kind: str, label: int, pool: SATSolverPool | None, fingerprint: str | None
+) -> PoolKey:
+    """The key of *dataset*'s k = 1 *kind* encoding for *label*.
+
+    Returns ``(version, kind, 1, label, n)``.  The version is
+    *fingerprint* when the caller names one; else, when a *pool* is
+    given, the dataset's content hash.  A throwaway entry (no pool) is
+    never looked up, so it skips the hash.
+    """
+    if fingerprint is None and pool is not None:
+        from ...serve.cache import dataset_fingerprint  # local: solvers/ sits below serve/
+
+        fingerprint = dataset_fingerprint(dataset)
+    return (fingerprint or "", kind, 1, label, dataset.dimension)

@@ -13,11 +13,15 @@ of rebuilding encoding and solver per bound, one
 each bound is materialized once as a *guarded* cardinality constraint
 and switched on by passing its guard literal as an assumption, so
 learnt clauses and heuristic state flow between bounds.
+
+:func:`lex_leader` is the canonical-witness walk that follows a sweep:
+given the optimal bound, it settles literal preferences in order, so
+every solver (and every race winner) lands on the same model.
 """
 
 from __future__ import annotations
 
-from typing import Callable, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from ..._budget import remaining_budget, start_deadline
 from ...exceptions import ValidationError
@@ -109,3 +113,42 @@ def minimize_bound_assumptions(
         return None if model is None else decode(model)
 
     return minimize_bound(feasible, lo, hi, strategy=strategy)
+
+
+def lex_leader(
+    solver,
+    literals: Sequence[int],
+    size: int,
+    *,
+    assumptions: tuple[int, ...] = (),
+    time_limit: float | None = None,
+) -> list[int]:
+    """Indices of the lexicographically first *size* true *literals*.
+
+    The lex-leader walk (Crawford et al., KR 1996): in order, prefer
+    literal i true — skip the probe when the current model already
+    satisfies it, probe under *assumptions* plus the choices so far
+    otherwise — and stop once *size* literals are chosen.  The
+    assumptions must leave the formula satisfiable and admit no model
+    with more than *size* true literals.  A refuted preference keeps
+    the prefix satisfiable (it was before the probe), so the walk never
+    backtracks.  ``time_limit`` (seconds) caps the whole walk, raising
+    :class:`~repro.exceptions.ResourceLimitError` on expiry.
+    """
+    deadline = start_deadline(time_limit)
+    decided = list(assumptions)
+    chosen: list[int] = []
+    model = None
+    for i, lit in enumerate(literals):
+        if len(chosen) == size:
+            break
+        if model is None or model[abs(lit)] != (lit > 0):
+            remaining = remaining_budget(deadline, "canonical-witness extraction")
+            probe = solver.solve([*decided, lit], time_limit=remaining)
+            if probe is None:
+                decided.append(-lit)
+                continue
+            model = probe
+        decided.append(lit)
+        chosen.append(i)
+    return chosen

@@ -282,6 +282,17 @@ class TestBenchHarness:
         assert payload["workloads"]["serve_scaleout"]["speedup"] == 4.0
         assert calls == ["serve_scaleout"]
 
+    def test_baseline_gate_covers_only_measured_workloads(self, fake_measure):
+        # A one-workload run against a full baseline re-measures nothing
+        # it did not run, and the unmeasured headlines cannot fail it.
+        baseline = {"workloads": {name: {"speedup": 10.0} for name in bench.FLOORS}}
+        for name in bench.FLOORS:
+            calls = fake_measure(name, *[_passing_row(name)] * 3)
+        payload = {"workloads": {"msr_incremental": {"speedup": 9.0}}}
+        assert bench.compare_with_retry(payload, baseline, max_regression=0.25) == []
+        assert calls == []
+        assert set(payload["workloads"]) == {"msr_incremental"}
+
     def test_render_report_shows_floors_and_verdicts(self):
         payload = {
             "workloads": {

@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.counterfactual.hamming_milp import _hamming_terms
-from repro.counterfactual.hamming_sat import add_distance_bound, build_flip_encoding
+from repro.counterfactual.hamming_sat import _ensure_cf_bound, build_flip_encoding
 from repro.knn import KNNClassifier
+from repro.solvers.sat import PoolEntry
 
 from .helpers import random_discrete_dataset
 
@@ -72,8 +73,8 @@ class TestFlipEncoding:
         winning = expanded.negatives if label == 1 else expanded.positives
         losing = expanded.positives if label == 1 else expanded.negatives
         builder, y_vars = build_flip_encoding(x, winning, losing, 1 if label else 0)
-        add_distance_bound(builder, y_vars, x, 1)
-        model = builder.build_solver().solve()
+        entry = PoolEntry((), builder.build_solver(), {"y": y_vars, "bounds": {}})
+        model = entry.solver.solve([_ensure_cf_bound(entry, x, 1)])
         if model is not None:
             y = np.array([1.0 if model[v] else 0.0 for v in y_vars])
             assert np.abs(y - x).sum() <= 1

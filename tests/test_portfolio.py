@@ -22,9 +22,16 @@ from repro import (
     portfolio_minimum_sufficient_reason,
 )
 from repro.abductive import check_sufficient_reason
-from repro.abductive.minimum import MinimumSRResult, _minimum_sat_hamming_k1
+from repro.abductive.minimum import (
+    MinimumSRResult,
+    _minimum_sat_rebuild,
+    minimum_sat_hamming_k1_pooled,
+)
 from repro.counterfactual import CounterfactualResult
-from repro.counterfactual.hamming_sat import closest_counterfactual_hamming_sat
+from repro.counterfactual.hamming_sat import (
+    _closest_counterfactual_sat_rebuild,
+    closest_counterfactual_hamming_sat_pooled,
+)
 from repro.datasets import random_boolean_dataset
 from repro.exceptions import UnsupportedSettingError
 from repro.knn import Dataset, QueryEngine
@@ -67,17 +74,15 @@ class TestMinimumSRParity:
     def test_incremental_sat_matches_rebuild(self, seed):
         data, x = _random_instance(seed)
         engine = QueryEngine(data, "hamming")
-        incremental = _minimum_sat_hamming_k1(data, x, engine, incremental=True)
-        rebuild = _minimum_sat_hamming_k1(data, x, engine, incremental=False)
+        incremental = minimum_sat_hamming_k1_pooled(data, x, engine)
+        rebuild = _minimum_sat_rebuild(data, x, engine)
         assert incremental.size == rebuild.size
 
     @pytest.mark.parametrize("strategy", ["binary", "linear"])
     def test_incremental_strategies_agree(self, strategy):
         data, x = _random_instance(99)
         engine = QueryEngine(data, "hamming")
-        result = _minimum_sat_hamming_k1(
-            data, x, engine, incremental=True, strategy=strategy
-        )
+        result = minimum_sat_hamming_k1_pooled(data, x, engine, strategy=strategy)
         reference = minimum_sufficient_reason(
             data, 1, "hamming", x, method="milp", engine=engine
         )
@@ -189,12 +194,10 @@ class TestCounterfactualParity:
     def test_incremental_sat_matches_rebuild(self, seed):
         data, x = _random_instance(seed)
         engine = QueryEngine(data, "hamming")
-        incremental = closest_counterfactual_hamming_sat(
-            data, 1, x, query_engine=engine, incremental=True
+        incremental = closest_counterfactual_hamming_sat_pooled(
+            data, 1, x, query_engine=engine
         )
-        rebuild = closest_counterfactual_hamming_sat(
-            data, 1, x, query_engine=engine, incremental=False
-        )
+        rebuild = _closest_counterfactual_sat_rebuild(data, 1, x, query_engine=engine)
         assert incremental.distance == rebuild.distance
 
     def test_zero_budget_degrades_to_nearest_training(self):

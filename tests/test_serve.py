@@ -1144,3 +1144,26 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
     race_pool = portfolio["race_pool"]
     assert f'repro_race_events_total{{event="races"}} {race_pool["races"]}' in metrics
     service.close()  # idempotent: the server shutdown already closed it
+
+
+def test_http_budget_must_be_finite_and_non_negative(rng, server, service):
+    # NaN compares false against every deadline, so it would lift the cap.
+    url = f"http://127.0.0.1:{server.port}/v2/explain"
+    x = rng.integers(0, 2, size=8).astype(float).tolist()
+
+    def minimum_sr(budget):
+        return _post(url, {
+            "fingerprint": service.fp, "method": "minimum_sr", "instances": [x],
+            "params": {"k": 1, "metric": "hamming", "solver": "portfolio", "budget": budget},
+        })
+
+    for budget in (float("nan"), "Infinity", -1):
+        with pytest.raises(urllib.error.HTTPError) as err:
+            minimum_sr(budget)
+        assert err.value.code == 400
+        with err.value:
+            body = json.load(err.value)
+        assert body["error"]["type"] == "ValidationError"
+        assert "budget" in body["error"]["message"]
+    (answer,) = minimum_sr(0)["results"]
+    assert answer["result"]["exact"] is False
