@@ -158,6 +158,34 @@ def _check_l2(
 # ---------------------------------------------------------------------------
 
 
+def opposite_rows(dataset: Dataset, label: int) -> np.ndarray:
+    """The rows of the class opposite *label*, multiplicities expanded.
+
+    At k = 1 they are the sources of the projection candidates: one
+    candidate per row for every subset a caller checks.
+    """
+    expanded = dataset.expanded()
+    return expanded.negatives if label == 1 else expanded.positives
+
+
+def classify_projections(
+    engine: QueryEngine, x: np.ndarray, sources: np.ndarray, subsets
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build and classify the projection candidates of a block of subsets.
+
+    *subsets* are same-size index sequences; the candidate for subset
+    X and source o agrees with x on X and with o elsewhere.  Returns
+    ``(candidates, labels)`` shaped ``(len(subsets), len(sources), n)``
+    and ``(len(subsets), len(sources))``, from one ``classify_batch``.
+    """
+    b, (m, n) = len(subsets), sources.shape
+    keep = np.zeros((b, n), dtype=bool)
+    keep[np.arange(b)[:, None], np.asarray(subsets, dtype=np.int64).reshape(b, -1)] = True
+    candidates = np.where(keep[:, None, :], x, sources)
+    labels = engine.classify_batch(candidates.reshape(b * m, n), 1).reshape(b, m)
+    return candidates, labels
+
+
 def _check_projection_candidates(
     dataset: Dataset, x: np.ndarray, X: frozenset[int], engine: QueryEngine
 ) -> CheckResult:
@@ -167,19 +195,17 @@ def _check_projection_candidates(
     projections ``y_X`` (x on X, an opposite-class point elsewhere)
     flips the classifier — the triangle-inequality argument of
     Proposition 4 (l1) and the flipping argument of Proposition 6
-    (Hamming).  All candidates are classified in one batched call.
+    (Hamming).  This is the one-subset case of
+    :func:`classify_projections`.
     """
     label = engine.classify(x, 1)
-    expanded = dataset.expanded()
-    opposite = expanded.negatives if label == 1 else expanded.positives
+    opposite = opposite_rows(dataset, label)
     if opposite.shape[0] == 0:
         return CheckResult(True)
-    fixed = sorted(X)
-    candidates = opposite.copy()
-    candidates[:, fixed] = x[fixed]
-    flipped = np.flatnonzero(engine.classify_batch(candidates, 1) != label)
+    candidates, labels = classify_projections(engine, x, opposite, [sorted(X)])
+    flipped = np.flatnonzero(labels[0] != label)
     if flipped.size:
-        return CheckResult(False, counterexample=candidates[flipped[0]])
+        return CheckResult(False, counterexample=candidates[0, flipped[0]])
     return CheckResult(True)
 
 

@@ -5,9 +5,12 @@ The problem is NP-complete in every tractable-check setting (Corollary
 8), so no polynomial algorithm exists.  Three exact solvers are
 provided:
 
-* ``brute`` — enumerate component subsets by increasing size, deciding
-  each with the cell's Check-SR algorithm.  Works in every setting where
-  a checker exists; exponential in n.
+* ``brute`` — enumerate component subsets by increasing size; the
+  first sufficient one is a minimum.  On the k = 1 projection cells
+  (l1 and Hamming, Propositions 4 and 6) one ``classify_batch`` decides
+  a block of same-size subsets; elsewhere each subset gets the cell's
+  Check-SR.  Works in every setting where a checker exists;
+  exponential in n.
 * ``milp`` — discrete setting, k = 1: a MILP over indicator variables
   ``s_i`` ("i is kept"), linearizing the Proposition-6 characterization.
   For every opposite-class projection source ``o``, a witness point of
@@ -42,11 +45,11 @@ and the encodings are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 import numpy as np
 
-from .._budget import remaining_budget, start_deadline
+from .._budget import check_cancelled, remaining_budget, start_deadline
 from .._validation import as_vector, check_odd_k
 from ..exceptions import UnsupportedSettingError, ValidationError
 from ..knn import Dataset, QueryEngine
@@ -60,7 +63,12 @@ from ..solvers.sat import (
     minimize_bound_assumptions,
 )
 from ..solvers.sat.pool import SATSolverPool, lease_or_build, pool_key
-from .check import check_sufficient_reason
+from .check import (
+    _BRUTE_BATCH,
+    check_sufficient_reason,
+    classify_projections,
+    opposite_rows,
+)
 
 
 @dataclass(frozen=True)
@@ -96,7 +104,7 @@ def minimum_sufficient_reason(
     with :class:`~repro.exceptions.ResourceLimitError`; for
     ``"portfolio"`` it is the per-method budget.  ``max_enumeration``
     caps the brute sweep in classified candidate rows (one per
-    opposite-class point per Check-SR; None = no cap) and raises
+    opposite-class point per subset; None = no cap) and raises
     :class:`~repro.exceptions.ValidationError` past it, like
     ``max_brute_dimension``.  ``"sat"`` runs the one SAT sweep on a
     throwaway solver (:func:`minimum_sat_hamming_k1_pooled` with no
@@ -147,6 +155,15 @@ def _minimum_brute(
     engine: QueryEngine, *, time_limit: float | None = None,
     max_enumeration: int | None = None,
 ) -> MinimumSRResult:
+    """Enumerate subsets by increasing size; the first sufficient one wins.
+
+    Subsets go in blocks of one size, in ``combinations`` order.  The
+    k = 1 projection cells (Propositions 4 and 6) build the candidates
+    of a whole block, at most ``_BRUTE_BATCH`` rows, and classify them
+    at once; every other cell decides one subset per block with its
+    Check-SR.  The cap counts one row per opposite-class point per
+    subset, and a block is cut at the subset that would pass it.
+    """
     n = dataset.dimension
     if n > max_dimension:
         raise ValidationError(
@@ -154,23 +171,45 @@ def _minimum_brute(
             f"2^{n} subsets; use the milp/sat pipeline or reduce n"
         )
     deadline = start_deadline(time_limit)
-    rows = enumerated = 0
-    if max_enumeration is not None:
-        # Each Check-SR classifies one candidate row per opposite-class point.
-        expanded = dataset.expanded()
-        opposite = expanded.negatives if engine.classify(x, k) == 1 else expanded.positives
-        rows = opposite.shape[0]
+    label = engine.classify(x, k)
+    opposite = opposite_rows(dataset, label)
+    rows = opposite.shape[0]
+    if k == 1 and metric.name in ("hamming", "l1"):
+        if rows == 0:
+            # One-class data: f is constant, the empty set explains everything.
+            return MinimumSRResult(frozenset(), 0, "brute")
+        per_block = max(1, _BRUTE_BATCH // rows)
+
+        def first_sufficient(block) -> int | None:
+            _, labels = classify_projections(engine, x, opposite, block)
+            kept = np.flatnonzero((labels == label).all(axis=1))
+            return int(kept[0]) if kept.size else None
+
+    else:
+        per_block = 1
+
+        def first_sufficient(block) -> int | None:
+            verdict = check_sufficient_reason(dataset, k, metric, x, block[0], engine=engine)
+            return 0 if verdict else None
+
+    allowed = None if max_enumeration is None or rows == 0 else max_enumeration // rows
+    decided = 0
     for size in range(n + 1):
-        for X in combinations(range(n), size):
+        combos = combinations(range(n), size)
+        while block := list(islice(combos, per_block)):
             remaining_budget(deadline, "brute-force Minimum-SR")
-            enumerated += rows
-            if max_enumeration is not None and enumerated > max_enumeration:
+            over = allowed is not None and decided + len(block) > allowed
+            if over:
+                block = block[: allowed - decided]
+            decided += len(block)
+            hit = first_sufficient(block) if block else None
+            if hit is not None:
+                return MinimumSRResult(frozenset(block[hit]), size, "brute")
+            if over:
                 raise ValidationError(
                     f"brute-force Minimum-SR exceeded {max_enumeration} candidate "
                     "rows; use the milp/sat pipeline"
                 )
-            if check_sufficient_reason(dataset, k, metric, x, X, engine=engine):
-                return MinimumSRResult(frozenset(X), size, "brute")
     raise AssertionError("the full component set is always sufficient")  # pragma: no cover
 
 
@@ -267,10 +306,13 @@ def _encode_msr_query(
     cardinality constraint takes each variable once, so coefficient 2
     is expressed by a twin variable clamped equal to its keep indicator
     — pure equivalences shared by every query, so added unguarded.
+    A race cancel is checked once per source, so a losing attempt
+    stops encoding instead of finishing first.
     """
     solver, keep, twins = entry.solver, entry.state["keep"], entry.state["twins"]
     n = x.shape[0]
     for o in sources:
+        check_cancelled("minimum-SR SAT encoding")
         picks = solver.new_vars(winners.shape[0])
         solver.add_clause([-activation, *picks])
         for j, w in enumerate(winners):

@@ -35,7 +35,7 @@ import math
 
 import numpy as np
 
-from .._budget import remaining_budget, start_deadline
+from .._budget import check_cancelled, remaining_budget, start_deadline
 from .._validation import check_odd_k
 from ..exceptions import UnsupportedSettingError
 from ..knn import Dataset, QueryEngine
@@ -58,7 +58,7 @@ def build_flip_encoding(
     Returns the builder and the list of the ``y`` variables.  *winning*
     is the class that must supply the nearest neighbor of ``y``;
     ``margin`` is 1 when that win must be strict (target label 0), else
-    0.
+    0.  A race cancel is checked once per winning point.
     """
     n = x.shape[0]
     builder = CNFBuilder()
@@ -66,6 +66,7 @@ def build_flip_encoding(
     selectors = builder.new_vars(winning.shape[0], prefix="c")
     builder.add_clause(selectors)
     for j, t in enumerate(winning):
+        check_cancelled("hamming counterfactual SAT encoding")
         for r in losing:
             delta = np.flatnonzero(t != r)
             bound = math.ceil((len(delta) + margin) / 2)

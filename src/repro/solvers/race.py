@@ -5,17 +5,20 @@ outcome as ``exact``, ``timeout``, ``cancelled``, ``unsupported`` or
 ``error`` (a member's unexpected exception never escapes the loop) and
 stops at the first exact answer.  The sequential portfolio runs it in
 process; :class:`ProcessRacer` runs it in a small pool of persistent
-worker processes, one slice of the methods per worker, streams every
-attempt back to the parent, and returns as soon as the first exact
-answer lands.  Losers are cancelled cooperatively: every worker carries
-a shared ``multiprocessing.Event`` that the parent sets once a winner
-is known, and the workers install it into :mod:`repro._budget`, so
-every budget checkpoint inside the SAT/brute pipelines doubles as a
-cancellation point (the attempt unwinds through the usual
-:class:`~repro.exceptions.ResourceLimitError` path).  Methods that
-cannot observe the event mid-solve — scipy's MILP runs to completion —
-are covered by a hard-kill backstop after a grace window, and the
-killed worker is respawned lazily before the next race.
+worker processes, one slice of the methods per worker, and streams
+every attempt back to the parent.  The first exact answer cancels the
+losers cooperatively: every worker carries a shared
+``multiprocessing.Event`` that the parent sets once a winner is known,
+and the workers install it into :mod:`repro._budget`, so every budget
+checkpoint inside the SAT/brute pipelines (and the SAT encoders)
+doubles as a cancellation point (the attempt unwinds through the usual
+:class:`~repro.exceptions.ResourceLimitError` path).  The race returns
+only once every worker of the race has reported, so its wall clock is
+the slowest loser's path to its next checkpoint.  Methods that cannot
+observe the event mid-solve — scipy's MILP runs to completion — are
+covered by a hard-kill backstop after a grace window of
+:data:`_GRACE_S`, and the killed worker is respawned lazily before the
+next race.
 
 Budget accounting is per attempt: each method converts its budget to a
 deadline when it actually starts, so a cancelled or timed-out attempt
@@ -69,14 +72,14 @@ def run_attempt(
 ) -> Any:
     """Run one exact *method* of *task*; returns the pipeline's answer.
 
-    In-process tasks carry the shared ``engine`` and may carry a warm
-    ``solver_pool`` (with its ``fingerprint``); worker tasks carry
-    neither.  The k = 1 Hamming SAT members go straight to the one SAT
-    sweep, on the pool when there is one and on a throwaway solver
-    otherwise.  *cap* bounds the brute members' enumeration in
-    classified candidate rows (None = their own default).  Imports are
-    local: :mod:`repro.solvers` sits below the pipelines that build on
-    it.
+    In-process tasks carry the shared ``engine`` and a ``solver_pool``
+    (with its ``fingerprint``): the caller's warm pool or a private
+    one-entry one.  Worker tasks carry neither.  The k = 1 Hamming SAT
+    members go straight to the one SAT sweep, on the pool when there is
+    one and on a throwaway solver otherwise.  *cap* bounds the brute
+    members' enumeration in classified candidate rows (None = their own
+    default).  Imports are local: :mod:`repro.solvers` sits below the
+    pipelines that build on it.
     """
     from ..abductive.minimum import minimum_sat_hamming_k1_pooled, minimum_sufficient_reason
     from ..counterfactual import closest_counterfactual

@@ -1042,18 +1042,25 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
 
     Hammer threads pour ``solver="portfolio"`` MSR and counterfactual
     traffic over a live HTTP server (parallel racing on, result cache
-    off so every request genuinely races and leases pooled solvers)
-    while a mutator plants and removes a block of points, superseding
-    the versions the pooled solvers were keyed under.  Zero malformed
-    answers are tolerated, and the pool / race counters the run
-    produced must agree across ``service.stats()``, ``GET /v2/stats``
-    and the rendered ``/metrics`` exposition.
+    off so every request genuinely races) while a mutator plants and
+    removes a block of points, superseding the versions the pooled
+    solvers were keyed under.  On that 6-feature lineage brute force
+    usually wins, and a brute answer needs no pooled solver.  A fourth
+    hammer therefore sends MSR traffic to a second lineage wider than
+    ``max_brute_dimension``: brute force reports ``unsupported`` there,
+    so every exact answer is canonicalized on the warm pool whatever
+    the race schedule.  Zero malformed answers are tolerated, and the
+    pool / race counters the run produced must agree across
+    ``service.stats()``, ``GET /v2/stats`` and the rendered
+    ``/metrics`` exposition.
     """
-    n = 6
+    n, wide = 6, 19
     data = random_discrete_dataset(rng, n, 8, 8)
     # Racer processes fork before the server/hammer threads start.
     service = ExplanationService(cache_size=0, parallel_portfolio=True, race_workers=2)
     fp = service.add_dataset(data)
+    wide_data = random_discrete_dataset(np.random.default_rng(wide), wide, 4, 4)
+    wide_fp = service.add_dataset(wide_data)
     server = serve_http(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -1064,11 +1071,14 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
     def hammer(worker: int) -> None:
         local = np.random.default_rng(worker)
         method = ("minimum_sr", "counterfactual")[worker % 2]
+        target, dim = fp, n
+        if worker == 3:  # the wide lineage, where brute force is unsupported
+            method, target, dim = "minimum_sr", wide_fp, wide
         while not stop.is_set():
-            x = local.integers(0, 2, size=n).astype(float).tolist()
+            x = local.integers(0, 2, size=dim).astype(float).tolist()
             try:
                 out = _post(url + "/v2/explain", {
-                    "fingerprint": fp, "method": method, "instances": [x],
+                    "fingerprint": target, "method": method, "instances": [x],
                     "params": {"k": 1, "metric": "hamming", "solver": "portfolio"},
                 })
                 (answer,) = out["results"]
@@ -1077,7 +1087,7 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
                     ok = (
                         isinstance(result.get("X"), list)
                         and result.get("size") == len(result["X"])
-                        and all(0 <= int(i) < n for i in result["X"])
+                        and all(0 <= int(i) < dim for i in result["X"])
                     )
                 else:
                     y = result.get("y")
@@ -1089,7 +1099,7 @@ def test_portfolio_stress_under_mutation_with_counter_consistency(rng):
             except Exception as exc:  # noqa: BLE001 - collected for the assert
                 failures.append(f"worker {worker}: {exc}")
 
-    workers = [threading.Thread(target=hammer, args=(w,)) for w in range(3)]
+    workers = [threading.Thread(target=hammer, args=(w,)) for w in range(4)]
     for worker in workers:
         worker.start()
     try:
