@@ -9,10 +9,10 @@ cells, and executable versions of every hardness reduction.
 Every pipeline runs on one shared primitive: the
 :class:`~repro.knn.QueryEngine`, a vectorized batch query core that
 owns a (dataset, metric) pair and serves broadcast distance matrices,
-Proposition-1 radii, batched classification/margins, and an LRU cache
-of per-query distance vectors.  Classifiers and explanation calls can
-share an engine (``engine=`` / ``query_engine=``) so repeated queries
-never recompute a distance.
+Proposition-1 radii and batched classification/margins, plus exact
+single-query paths.  Classifiers and explanation calls can share an
+engine (``engine=`` / ``query_engine=``) so its indexes are built
+once.
 
 For long-lived serving, :mod:`repro.serve` wraps the pipelines in an
 :class:`~repro.serve.ExplanationService`: one warm engine per dataset

@@ -19,6 +19,9 @@ exhaustive fallback:
 Each checker returns a :class:`CheckResult` carrying a *counterexample*
 (an input that agrees with x on X but is classified differently) when
 the answer is negative, so callers can independently verify the verdict.
+:class:`SufficiencyCheck` classifies x once and then decides any number
+of subsets for it; :func:`check_sufficient_reason` is its one-subset
+case.
 """
 
 from __future__ import annotations
@@ -72,51 +75,90 @@ def check_sufficient_reason(
     ``"l1-k1"``, ``"hamming-k1"`` and ``"brute"`` force a specific one.
 
     ``engine`` optionally shares a :class:`~repro.knn.QueryEngine` over
-    the same (dataset, metric) pair — the greedy callers pass one so the
-    query's distance vector is computed once across all their checks.
+    the same (dataset, metric) pair.  This is the one-subset case of
+    :class:`SufficiencyCheck`; callers that decide many subsets for one
+    query build that once instead, so ``f(x)`` is classified once.
     """
-    k = check_odd_k(k)
-    metric = get_metric(metric)
-    xv = as_vector(x, name="x")
-    if xv.shape[0] != dataset.dimension:
-        raise ValidationError(
-            f"x has dimension {xv.shape[0]}, dataset has {dataset.dimension}"
+    return SufficiencyCheck(dataset, k, metric, x, method=method, engine=engine)(X)
+
+
+class SufficiencyCheck:
+    """Check-SR for one fixed query, called once per subset ``X``.
+
+    Construction validates the query, resolves ``method`` for the
+    (metric, k) cell exactly as :func:`check_sufficient_reason` does,
+    and works out ``f(x)`` (:attr:`label`) and the opposite class's rows
+    (:attr:`opposite`) once; each call then decides one component set
+    against them.  The Proposition-2 greedy and the brute Minimum-SR
+    sweep decide every subset of one query this way.
+    """
+
+    def __init__(
+        self,
+        dataset: Dataset,
+        k: int,
+        metric,
+        x,
+        *,
+        method: str = "auto",
+        engine: QueryEngine | None = None,
+    ):
+        self.k = check_odd_k(k)
+        metric = get_metric(metric)
+        self.x = as_vector(x, name="x")
+        if self.x.shape[0] != dataset.dimension:
+            raise ValidationError(
+                f"x has dimension {self.x.shape[0]}, dataset has {dataset.dimension}"
+            )
+        self.dataset = dataset
+        self.engine = as_engine(dataset, metric, engine)
+        self.method = _resolve_method(metric, self.k, method)
+        self.label = self.engine.classify(self.x, self.k)
+        self.opposite = opposite_rows(dataset, self.label)
+
+    def __call__(self, X) -> CheckResult:
+        X = as_index_set(X, dimension=self.dataset.dimension, name="X")
+        if self.method == "l2":
+            return _check_l2(self.dataset, self.k, self.x, X, self.label)
+        if self.method == "brute":
+            return _check_brute_discrete(self.engine, self.k, self.x, X, self.label)
+        return _check_projection_candidates(
+            self.engine, self.x, X, self.label, self.opposite
         )
-    X = as_index_set(X, dimension=dataset.dimension, name="X")
-    engine = as_engine(dataset, metric, engine)
+
+
+def _resolve_method(metric, k: int, method: str) -> str:
+    """The Check-SR algorithm for *method* in the (metric, k) cell."""
     if method == "auto":
         if metric.name == "l2":
-            method = "l2"
-        elif metric.name == "l1" and k == 1:
-            method = "l1-k1"
-        elif metric.name == "hamming" and k == 1:
-            method = "hamming-k1"
-        elif metric.is_discrete:
-            method = "brute"  # coNP-hard cell: exact exponential fallback
-        else:
-            raise UnsupportedSettingError(
-                f"Check-SR({metric.name}, k={k}) has no polynomial algorithm "
-                "(Theorem 5); no exact fallback exists for continuous metrics"
-            )
+            return "l2"
+        if metric.name == "l1" and k == 1:
+            return "l1-k1"
+        if metric.name == "hamming" and k == 1:
+            return "hamming-k1"
+        if metric.is_discrete:
+            return "brute"  # coNP-hard cell: exact exponential fallback
+        raise UnsupportedSettingError(
+            f"Check-SR({metric.name}, k={k}) has no polynomial algorithm "
+            "(Theorem 5); no exact fallback exists for continuous metrics"
+        )
     if method == "l2":
         if metric.name != "l2":
             raise ValidationError("method 'l2' requires the l2 metric")
-        return _check_l2(dataset, k, xv, X, engine)
-    if method == "l1-k1":
+    elif method == "l1-k1":
         if metric.name != "l1" or k != 1:
             raise ValidationError("method 'l1-k1' requires the l1 metric and k=1")
-        return _check_projection_candidates(dataset, xv, X, engine)
-    if method == "hamming-k1":
+    elif method == "hamming-k1":
         if metric.name != "hamming" or k != 1:
             raise ValidationError("method 'hamming-k1' requires Hamming and k=1")
-        return _check_projection_candidates(dataset, xv, X, engine)
-    if method == "brute":
+    elif method == "brute":
         if not metric.is_discrete:
             raise UnsupportedSettingError(
                 "brute-force Check-SR only enumerates the Boolean hypercube"
             )
-        return _check_brute_discrete(dataset, k, xv, X, engine)
-    raise ValidationError(f"unknown method {method!r}")
+    else:
+        raise ValidationError(f"unknown method {method!r}")
+    return method
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +167,11 @@ def check_sufficient_reason(
 
 
 def _check_l2(
-    dataset: Dataset, k: int, x: np.ndarray, X: frozenset[int], engine: QueryEngine
+    dataset: Dataset, k: int, x: np.ndarray, X: frozenset[int], label: int
 ) -> CheckResult:
     from ..geometry.polyhedron import Polyhedron
     from ..geometry.halfspace import Halfspace
 
-    label = engine.classify(x, k)
     subspace = AffineSubspace(x, X)
     A_eq, b_eq = subspace.equality_system()
     eq = (A_eq, b_eq) if A_eq.shape[0] else (None, None)
@@ -187,19 +228,16 @@ def classify_projections(
 
 
 def _check_projection_candidates(
-    dataset: Dataset, x: np.ndarray, X: frozenset[int], engine: QueryEngine
+    engine: QueryEngine, x: np.ndarray, X: frozenset[int], label: int, opposite: np.ndarray
 ) -> CheckResult:
     """Shared shape of the l1 and Hamming k=1 checkers.
 
     If ``f(x) = label``, a counterexample exists iff one of the
-    projections ``y_X`` (x on X, an opposite-class point elsewhere)
-    flips the classifier — the triangle-inequality argument of
-    Proposition 4 (l1) and the flipping argument of Proposition 6
-    (Hamming).  This is the one-subset case of
-    :func:`classify_projections`.
+    projections ``y_X`` (x on X, an *opposite* row elsewhere) flips the
+    classifier — the triangle-inequality argument of Proposition 4 (l1)
+    and the flipping argument of Proposition 6 (Hamming).  This is the
+    one-subset case of :func:`classify_projections`.
     """
-    label = engine.classify(x, 1)
-    opposite = opposite_rows(dataset, label)
     if opposite.shape[0] == 0:
         return CheckResult(True)
     candidates, labels = classify_projections(engine, x, opposite, [sorted(X)])
@@ -215,7 +253,7 @@ def _check_projection_candidates(
 
 
 def _check_brute_discrete(
-    dataset: Dataset, k: int, x: np.ndarray, X: frozenset[int], engine: QueryEngine
+    engine: QueryEngine, k: int, x: np.ndarray, X: frozenset[int], label: int
 ) -> CheckResult:
     """Exhaustive check over the free coordinates, in batched blocks.
 
@@ -224,10 +262,7 @@ def _check_brute_discrete(
     free coordinate varies slowest), so the returned counterexample is
     the same one the sequential scan would find first.
     """
-    label = engine.classify(x, k)
-    free = np.array(
-        [i for i in range(dataset.dimension) if i not in X], dtype=np.int64
-    )
+    free = np.array([i for i in range(x.size) if i not in X], dtype=np.int64)
     if free.size > 22:
         raise ValidationError(
             f"brute-force Check-SR would enumerate 2^{free.size} points; "

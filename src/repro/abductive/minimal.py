@@ -11,11 +11,10 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .._validation import as_index_set, as_vector, check_odd_k
+from .._validation import as_index_set
 from ..exceptions import ValidationError
 from ..knn import Dataset, QueryEngine
-from ..knn.engine import as_engine
-from .check import check_sufficient_reason
+from .check import SufficiencyCheck
 
 
 def minimal_sufficient_reason(
@@ -45,21 +44,17 @@ def minimal_sufficient_reason(
         forwarded to :func:`~repro.abductive.check.check_sufficient_reason`.
     engine:
         optional shared :class:`~repro.knn.QueryEngine`; one is built
-        here (and reused across all ``n`` sufficiency checks, caching
-        the query's distance vector) when not given.
+        here when not given.  Every check of the greedy is against one
+        :class:`~repro.abductive.check.SufficiencyCheck`, so ``f(x)`` is
+        classified once per call.
     """
-    check_odd_k(k)
-    xv = as_vector(x, name="x")
+    check = SufficiencyCheck(dataset, k, metric, x, method=method, engine=engine)
     n = dataset.dimension
-    engine = as_engine(dataset, metric, engine)
     if start is None:
         current = set(range(n))
     else:
         current = set(as_index_set(start, dimension=n, name="start"))
-        verdict = check_sufficient_reason(
-            dataset, k, metric, xv, current, method=method, engine=engine
-        )
-        if not verdict:
+        if not check(current):
             raise ValidationError(
                 "start is not a sufficient reason; cannot shrink it into one"
             )
@@ -71,10 +66,7 @@ def minimal_sufficient_reason(
             raise ValidationError("order must enumerate every component of start")
     for i in candidates:
         current.discard(i)
-        verdict = check_sufficient_reason(
-            dataset, k, metric, xv, current, method=method, engine=engine
-        )
-        if not verdict:
+        if not check(current):
             current.add(i)
     return frozenset(current)
 
@@ -92,16 +84,9 @@ def is_minimal_sufficient_reason(
     """``k-Minimal Sufficient Reason``: is *X* sufficient and minimal?
 
     Implements the reduction of Proposition 2: check X itself, then
-    check that no one-element deletion stays sufficient.
+    check that no one-element deletion stays sufficient — every check
+    against one :class:`~repro.abductive.check.SufficiencyCheck`.
     """
-    xv = as_vector(x, name="x")
+    check = SufficiencyCheck(dataset, k, metric, x, method=method, engine=engine)
     X = as_index_set(X, dimension=dataset.dimension, name="X")
-    engine = as_engine(dataset, metric, engine)
-    if not check_sufficient_reason(dataset, k, metric, xv, X, method=method, engine=engine):
-        return False
-    for i in X:
-        if check_sufficient_reason(
-            dataset, k, metric, xv, X - {i}, method=method, engine=engine
-        ):
-            return False
-    return True
+    return bool(check(X)) and not any(check(X - {i}) for i in X)

@@ -65,9 +65,9 @@ from ..solvers.sat import (
 from ..solvers.sat.pool import SATSolverPool, lease_or_build, pool_key
 from .check import (
     _BRUTE_BATCH,
+    SufficiencyCheck,
     check_sufficient_reason,
     classify_projections,
-    opposite_rows,
 )
 
 
@@ -161,7 +161,8 @@ def _minimum_brute(
     k = 1 projection cells (Propositions 4 and 6) build the candidates
     of a whole block, at most ``_BRUTE_BATCH`` rows, and classify them
     at once; every other cell decides one subset per block with its
-    Check-SR.  The cap counts one row per opposite-class point per
+    Check-SR.  Both read one :class:`SufficiencyCheck`, so ``f(x)`` is
+    classified once.  The cap counts one row per opposite-class point per
     subset, and a block is cut at the subset that would pass it.
     """
     n = dataset.dimension
@@ -171,10 +172,10 @@ def _minimum_brute(
             f"2^{n} subsets; use the milp/sat pipeline or reduce n"
         )
     deadline = start_deadline(time_limit)
-    label = engine.classify(x, k)
-    opposite = opposite_rows(dataset, label)
+    check = SufficiencyCheck(dataset, k, metric, x, engine=engine)
+    label, opposite = check.label, check.opposite
     rows = opposite.shape[0]
-    if k == 1 and metric.name in ("hamming", "l1"):
+    if check.method in ("l1-k1", "hamming-k1"):
         if rows == 0:
             # One-class data: f is constant, the empty set explains everything.
             return MinimumSRResult(frozenset(), 0, "brute")
@@ -189,8 +190,7 @@ def _minimum_brute(
         per_block = 1
 
         def first_sufficient(block) -> int | None:
-            verdict = check_sufficient_reason(dataset, k, metric, x, block[0], engine=engine)
-            return 0 if verdict else None
+            return 0 if check(block[0]) else None
 
     allowed = None if max_enumeration is None or rows == 0 else max_enumeration // rows
     decided = 0

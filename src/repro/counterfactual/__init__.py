@@ -84,7 +84,7 @@ def closest_counterfactual(
     directly for the provenance record.
 
     ``query_engine`` optionally shares a :class:`~repro.knn.QueryEngine`
-    over (dataset, metric) so repeated calls reuse its distance cache
+    over (dataset, metric) so repeated calls reuse its rows and indexes
     (``engine=`` in the kwargs still selects the MILP backend).  Most
     pipelines also accept ``time_limit=`` seconds (best-effort,
     raising :class:`~repro.exceptions.ResourceLimitError` on expiry).

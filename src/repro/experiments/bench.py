@@ -369,7 +369,7 @@ def measure_streaming_updates(seed: int = 20250601, repeats: int = 3) -> dict:
     ]
 
     def incremental() -> np.ndarray:
-        engine = QueryEngine(data, "hamming", backend="bitpack", cache_size=0)
+        engine = QueryEngine(data, "hamming", backend="bitpack")
         labels = []
         for points, point_labels, queries in stream:
             engine.add_points(points, point_labels)
@@ -381,7 +381,7 @@ def measure_streaming_updates(seed: int = 20250601, repeats: int = 3) -> dict:
         labels = []
         for points, point_labels, queries in stream:
             current = current.with_added(points, point_labels)
-            engine = QueryEngine(current, "hamming", backend="bitpack", cache_size=0)
+            engine = QueryEngine(current, "hamming", backend="bitpack")
             labels.append(engine.classify_batch(queries, 3))
         return np.concatenate(labels)
 
@@ -430,7 +430,7 @@ def measure_scenario_multiclass(seed: int = 20250601, repeats: int = 3) -> dict:
     queries = rng.integers(0, 2, size=(n_queries, n_dim)).astype(float)
 
     def merged() -> tuple:
-        engine = MultiClassEngine(data, "hamming", backend="bitpack", cache_size=0)
+        engine = MultiClassEngine(data, "hamming", backend="bitpack")
         radii, rest = engine.class_radii_batch(queries, k)
         return radii, rest, engine.classify_batch(queries, 1)
 
@@ -439,9 +439,7 @@ def measure_scenario_multiclass(seed: int = 20250601, repeats: int = 3) -> dict:
         rest = np.empty((n_queries, n_classes))
         nearest = np.empty((n_queries, n_classes))
         for j, label in enumerate(data.classes):
-            engine = QueryEngine(
-                data.merged(label), "hamming", backend="bitpack", cache_size=0
-            )
+            engine = QueryEngine(data.merged(label), "hamming", backend="bitpack")
             radii[:, j], rest[:, j] = engine.radii_batch(queries, k)
             nearest[:, j] = engine.radii_batch(queries, 1)[0]
         # Nearest-class (k = 1) labels; argmin ties break toward the
@@ -523,8 +521,8 @@ def measure_million_point(
     )
     data = Dataset(points[labels], points[~labels])
     del points
-    dense = QueryEngine(data, "l2", backend="dense", cache_size=0)
-    ivf = QueryEngine(data, "l2", backend="ivf", cache_size=0)
+    dense = QueryEngine(data, "l2", backend="dense")
+    ivf = QueryEngine(data, "l2", backend="ivf")
     if not np.array_equal(
         dense.classify_batch(queries, k), ivf.classify_batch(queries, k)
     ):  # explicit: survives python -O

@@ -14,9 +14,10 @@ positive (negative) point is reached — counting multiplicities, ``+inf``
 when that many points do not exist — we get ``f(x) = 1  iff  r+ <= r-``.
 
 All distance work is delegated to a :class:`~repro.knn.QueryEngine`,
-which batches and caches the underlying surrogate-distance vectors; a
-classifier is a thin ``k``-binding view over an engine, and several
-classifiers (or explanation pipelines) can share one engine.
+which computes the underlying surrogate-distance vectors, one query or
+a batch at a time; a classifier is a thin ``k``-binding view over an
+engine, and several classifiers (or explanation pipelines) can share
+one engine and its indexes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class KNNClassifier:
         when the dataset is discrete).
     engine:
         an existing :class:`QueryEngine` over the same dataset to share
-        its distance cache; *metric* must be None or match the engine's.
+        its rows and indexes; *metric* must be None or match the engine's.
     backend:
         index backend for a freshly built engine (``"auto"`` | ``"dense"``
         | ``"kdtree"`` | ``"bitpack"``, see :class:`QueryEngine`); ignored

@@ -11,13 +11,14 @@ labeled sets ``S+`` and ``S-``.  :class:`QueryEngine` owns a
   matrices through the selected *index backend*, with no Python-level
   per-row loop; query rows are processed in memory-capped blocks, and
   :meth:`map_shards` fans row shards out to a process pool;
-* **cached** — the single-point entry points (:meth:`powers`,
-  :meth:`radii`, :meth:`classify`, :meth:`margin`, :meth:`neighbors`)
-  share an LRU cache of per-query distance vectors plus a per-``(query,
-  k)`` radii memo, so the inner loops of the greedy sufficient-reason
-  algorithms and the brute/SAT counterfactual searches, which
-  re-classify the same query point many times, never recompute a
-  distance vector.
+* **single-point** — :meth:`powers`, :meth:`radii`, :meth:`classify`,
+  :meth:`margin` and :meth:`neighbors` compute one query's distance
+  vectors with the metric's row-wise kernel on every call, whose
+  boundary geometry is exact even on general floats (the batch kernels
+  agree bit for bit on integer-valued data, up to roundoff otherwise).
+  The engine keeps nothing between calls: a caller that asks about one
+  query many times (the Proposition-2 greedy) works out what it needs
+  once, as :class:`~repro.abductive.check.SufficiencyCheck` does.
 
 The rows themselves live in a :class:`~repro.knn.store.LabeledStore`
 with the classes ``(True, False)`` — positives first, the order
@@ -26,19 +27,10 @@ implementation both engines share of the per-class row stores, the
 joint dense/bit-packed kernel layout, the per-class KD-trees and IVF
 indexes, backend selection (``backend=`` ``"auto"`` | ``"dense"`` |
 ``"kdtree"`` | ``"bitpack"`` | ``"ivf"``, documented in
-:mod:`repro.knn.store`) and the mutation protocol.  This module keeps
-what is binary: the Proposition-1 radii and tie rules, the distance
-vote, sharding, and the caches.
-
-Streaming mutation (:meth:`add_points` / :meth:`remove_points`)
----------------------------------------------------------------
-
-The store applies a mutation incrementally to the selected backend and
-returns what changed; the caches are then reconciled *surgically*:
-cached distance vectors are extended (or shrunk) by exactly the rows
-that changed, and a cached ``(r+, r-)`` pair is evicted only when a
-touched row's power reaches inside the cached radius — a mutation
-outside a query's k-neighborhood leaves its cached answer untouched.
+:mod:`repro.knn.store`) and the mutation protocol
+(:meth:`add_points` / :meth:`remove_points`, applied incrementally to
+the selected backend).  This module keeps what is binary: the
+Proposition-1 radii and tie rules, the distance vote and sharding.
 Each mutation bumps :attr:`version`; a mutated engine is bit-identical
 to an engine freshly built from :attr:`dataset` (the randomized
 differential harness in ``tests/test_fuzz_parity.py`` enforces this
@@ -54,7 +46,6 @@ multiplicities, ``+inf`` when that many points do not exist, and
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -68,6 +59,9 @@ from .store import LabeledStore, StoreBacked
 #: cap on the number of float64 elements of a (block, dataset) surrogate
 #: matrix held at once while reducing radii for a batch of queries.
 _BLOCK_ELEMENTS = 1 << 22
+
+#: vote modes of both engines' ``classify`` and ``classify_batch``.
+VOTES = ("uniform", "distance")
 
 #: batch methods :meth:`QueryEngine.map_shards` can fan out.
 _SHARD_METHODS = (
@@ -175,6 +169,17 @@ def _vote_tied(d: np.ndarray, sizes, k: int, vote: str, metric) -> np.ndarray:
     return scores >= scores.max(axis=1)[:, None]
 
 
+def _check_vote(vote: str) -> None:
+    """Reject a *vote* outside :data:`VOTES`."""
+    if vote not in VOTES:
+        raise ValidationError(f"vote must be one of {'|'.join(VOTES)}, got {vote!r}")
+
+
+def _expand(powers, mults) -> np.ndarray:
+    """One query's per-class power vectors, class order, repeated per multiplicity."""
+    return np.concatenate([np.repeat(p, m) for p, m in zip(powers, mults)])
+
+
 def _vote_batch(store, pts: np.ndarray, k: int, vote: str, metric) -> np.ndarray:
     """:func:`_vote_tied` for query rows, one joint kernel pass per block.
 
@@ -212,7 +217,7 @@ def _shard_call(engine: "QueryEngine", method: str, shard: np.ndarray, k):
 
 
 class QueryEngine(StoreBacked):
-    """Vectorized, cached batch query primitives over ``(dataset, metric)``.
+    """Vectorized batch and exact single-query primitives over ``(dataset, metric)``.
 
     Parameters
     ----------
@@ -225,9 +230,6 @@ class QueryEngine(StoreBacked):
         a :class:`~repro.metrics.Metric` or an alias accepted by
         :func:`~repro.metrics.get_metric` (default Euclidean, or Hamming
         when the dataset is discrete).
-    cache_size:
-        number of per-query surrogate-distance vectors (and cached
-        radii pairs) kept in the LRU caches (0 disables caching).
     backend:
         index strategy for the batch primitives: ``"auto"`` (default),
         ``"dense"``, ``"kdtree"``, ``"bitpack"`` or ``"ivf"`` — see
@@ -241,7 +243,6 @@ class QueryEngine(StoreBacked):
         dataset: Dataset,
         metric=None,
         *,
-        cache_size: int = 1024,
         backend: str = "auto",
     ):
         if not isinstance(dataset, Dataset):
@@ -250,13 +251,6 @@ class QueryEngine(StoreBacked):
             metric = default_metric_name(dataset.discrete)
         self.metric: Metric = get_metric(metric)
         self._store = LabeledStore(dataset, self.metric, backend)
-        self._cache: OrderedDict[bytes, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-        self._radii_cache: OrderedDict[tuple[bytes, int], tuple[float, float]] = (
-            OrderedDict()
-        )
-        self._cache_size = max(0, int(cache_size))
-        self._hits = 0
-        self._misses = 0
 
     # -- streaming mutation ----------------------------------------------
 
@@ -268,11 +262,9 @@ class QueryEngine(StoreBacked):
         a point already present in its class gets its multiplicity
         incremented, a new point is appended at the end of its class,
         and existing row order is preserved.  The backend index absorbs
-        the change incrementally, cached distance vectors are *extended*
-        by the new rows, and cached radii are evicted only when a new
-        point lands inside the cached ball.
+        the change incrementally.
         """
-        self._reconcile_caches(self._store.add(points, labels, multiplicities))
+        self._store.add(points, labels, multiplicities)
         return self.version
 
     def remove_points(self, points, labels, multiplicities=None) -> int:
@@ -284,83 +276,21 @@ class QueryEngine(StoreBacked):
         up front, so a failed call leaves the engine untouched.  Rows
         whose multiplicity reaches zero are compacted out of the stores
         (order preserved), tombstoned in the bit-packed index, and
-        overlaid as deletions on the KD-trees; cached distance vectors
-        shrink by exactly the dropped rows, and cached radii are evicted
-        only when a removed point sat inside the cached ball.
+        overlaid as deletions on the KD-trees.
         """
-        self._reconcile_caches(self._store.remove(points, labels, multiplicities))
+        self._store.remove(points, labels, multiplicities)
         return self.version
-
-    # -- targeted cache maintenance ---------------------------------------
-
-    def _reconcile_caches(self, delta) -> None:
-        """Bring both caches up to date with one applied mutation.
-
-        Cached distance vectors gain the appended rows' powers (the
-        metric kernels are row-independent, so extending is bit-identical
-        to recomputing against the grown class) and lose the dead rows'
-        entries — the cache stays warm instead of being flushed.
-
-        Proposition 1's radii are k-th order statistics, so a touched
-        row whose surrogate power to the cached query is strictly
-        greater than the cached class radius cannot move that radius no
-        matter how its multiplicity changed; only entries where a
-        touched row reaches inside (or onto) the cached ball — or where
-        the radius is ``+inf`` and the class gained mass — are evicted.
-        """
-        if self._cache and (delta.appended or any(d.size for d in delta.dead.values())):
-            for key, vectors in self._cache.items():
-                x = np.frombuffer(key, dtype=np.float64)
-                vectors = list(vectors)
-                for j, c in enumerate(self._store.classes):
-                    if c in delta.appended:
-                        new = self.metric.powers_to(delta.appended[c], x)
-                        vectors[j] = np.concatenate([vectors[j], new])
-                    elif c in delta.dead and delta.dead[c].size:
-                        vectors[j] = np.delete(vectors[j], delta.dead[c])
-                    else:
-                        continue
-                    vectors[j].setflags(write=False)
-                self._cache[key] = tuple(vectors)
-        if not self._radii_cache or not delta.touched:
-            return
-        for rkey in list(self._radii_cache):
-            x = np.frombuffer(rkey[0], dtype=np.float64)
-            if any(
-                c in delta.touched
-                and (
-                    np.isinf(r)
-                    or bool((self.metric.powers_to(delta.touched[c], x) <= r).any())
-                )
-                for c, r in zip(self._store.classes, self._radii_cache[rkey])
-            ):
-                del self._radii_cache[rkey]
 
     # -- distances ------------------------------------------------------
 
     def powers(self, x) -> tuple[np.ndarray, np.ndarray]:
-        """Cached surrogate-distance vectors ``(to S+, to S-)`` for one query.
+        """Surrogate-distance vectors ``(to S+, to S-)`` for one query.
 
-        The returned arrays are read-only views owned by the cache.
+        Computed by the metric's row-wise kernel on every call.
         """
         xv = self._store.check_query(x)
-        key = xv.tobytes()
-        cached = self._cache.get(key)
-        if cached is not None:
-            self._hits += 1
-            self._cache.move_to_end(key)
-            return cached
-        self._misses += 1
         pos, neg = self._store.points
-        pos_d = self.metric.powers_to(pos, xv)
-        neg_d = self.metric.powers_to(neg, xv)
-        pos_d.setflags(write=False)
-        neg_d.setflags(write=False)
-        if self._cache_size:
-            self._cache[key] = (pos_d, neg_d)
-            if len(self._cache) > self._cache_size:
-                self._cache.popitem(last=False)
-        return pos_d, neg_d
+        return self.metric.powers_to(pos, xv), self.metric.powers_to(neg, xv)
 
     def powers_matrix(self, points) -> np.ndarray:
         """``(q, |S+| + |S-|)`` surrogate matrix, positives first.
@@ -383,23 +313,12 @@ class QueryEngine(StoreBacked):
     # -- radii (Proposition 1 ball inflation) ---------------------------
 
     def radii(self, x, k: int) -> tuple[float, float]:
-        """``(r+, r-)`` for one query, served from the radii/distance caches."""
+        """``(r+, r-)`` for one query, from the row-wise :meth:`powers`."""
         need = self._store.need(k)
-        xv = self._store.check_query(x)
-        rkey = (xv.tobytes(), need)
-        cached = self._radii_cache.get(rkey)
-        if cached is not None:
-            self._hits += 1
-            self._radii_cache.move_to_end(rkey)
-            return cached
-        pos_d, neg_d = self.powers(xv)
+        pos_d, neg_d = self.powers(x)
         pos_mult, neg_mult = self._store.mults
         r_pos = _kth_smallest_with_multiplicity(pos_d, pos_mult, need)
         r_neg = _kth_smallest_with_multiplicity(neg_d, neg_mult, need)
-        if self._cache_size:
-            self._radii_cache[rkey] = (r_pos, r_neg)
-            if len(self._radii_cache) > self._cache_size:
-                self._radii_cache.popitem(last=False)
         return r_pos, r_neg
 
     def radii_batch(self, points, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -443,52 +362,42 @@ class QueryEngine(StoreBacked):
     # -- classification and margins -------------------------------------
 
     def classify(self, x, k: int, *, vote: str = "uniform") -> int:
-        """``f^k_{S+,S-}(x)`` as 0 or 1 (cached single-query path).
+        """``f^k_{S+,S-}(x)`` as 0 or 1 (exact single-query path).
 
         ``vote="uniform"`` is the paper's optimistic rule (``r+ <= r-``);
         ``vote="distance"`` weighs each of the k nearest points by its
-        inverse true distance (exact hits dominate), ties toward the
-        positive class — the distance-weighted kNN variant, validated
+        inverse true distance (exact hits dominate).  Selection ties at
+        the k-th distance break by expanded canonical index (positives
+        first — the same order :meth:`neighbors` uses), and a tied
+        weight sum goes to the positive class, consistent with the
+        optimistic rule — the distance-weighted kNN variant, validated
         against :func:`repro.knn.reference.classify_weighted_by_definition`.
+        Both modes read the row-wise :meth:`powers`, so exact distance
+        ties hold on general floats.
         """
-        if vote == "distance":
-            return int(
-                self._classify_batch_weighted(
-                    self._store.check_query(x).reshape(1, -1), k
-                )[0]
-            )
-        if vote != "uniform":
-            raise ValidationError(
-                f"vote must be 'uniform' or 'distance', got {vote!r}"
-            )
-        r_pos, r_neg = self.radii(x, k)
-        return 1 if r_pos <= r_neg else 0
+        if vote == "uniform":
+            r_pos, r_neg = self.radii(x, k)
+            return 1 if r_pos <= r_neg else 0
+        _check_vote(vote)
+        self._store.need(k)  # validates odd k and k <= total
+        mults = self._store.mults
+        d = _expand(self.powers(x), mults)
+        tied = _vote_tied(d[None, :], [int(m.sum()) for m in mults], k, vote, self.metric)
+        return int(tied[0, 0])
 
     def classify_batch(self, points, k: int, *, vote: str = "uniform") -> np.ndarray:
         """Vector of ``f(x)`` values for every row of *points*.
 
-        Same *vote* modes as :meth:`classify`.
+        Same *vote* modes and tie rules as :meth:`classify`, from the
+        batch kernels (see :meth:`powers_matrix` for their roundoff).
         """
-        if vote == "distance":
-            return self._classify_batch_weighted(self._store.check_queries(points), k)
-        if vote != "uniform":
-            raise ValidationError(
-                f"vote must be 'uniform' or 'distance', got {vote!r}"
-            )
-        r_pos, r_neg = self.radii_batch(points, k)
-        return (r_pos <= r_neg).astype(np.int64)
-
-    def _classify_batch_weighted(self, pts: np.ndarray, k: int) -> np.ndarray:
-        """Distance-weighted vote over the k nearest expanded points.
-
-        Selection ties at the k-th distance break by expanded canonical
-        index (positives first — the same order :meth:`neighbors` uses),
-        and a tied weight sum goes to the positive class, consistent
-        with the optimistic rule (the first tied class is ``True``).
-        """
-        self._store.need(k)  # validates odd k and k <= total
-        tied = _vote_batch(self._store, pts, k, "distance", self.metric)
-        return tied[:, 0].astype(np.int64)
+        if vote == "uniform":
+            r_pos, r_neg = self.radii_batch(points, k)
+            return (r_pos <= r_neg).astype(np.int64)
+        _check_vote(vote)
+        self._store.need(k)
+        pts = self._store.check_queries(points)
+        return _vote_batch(self._store, pts, k, vote, self.metric)[:, 0].astype(np.int64)
 
     def margin(self, x, k: int) -> float:
         """Signed surrogate margin ``r- − r+`` (positive ⇒ class 1)."""
@@ -519,7 +428,7 @@ class QueryEngine(StoreBacked):
         and concatenates the results — the output is identical to the
         direct call.  Worth it for query matrices large enough that the
         kernel time dominates the cost of shipping the engine to each
-        worker (the engine is pickled without its distance cache).
+        worker.
 
         Parameters
         ----------
@@ -581,48 +490,11 @@ class QueryEngine(StoreBacked):
         Ties at the boundary are broken by expanded index (positives
         first), matching :meth:`Dataset.all_points` ordering.
         """
-        xv = self._store.check_query(x)
         k = 1 if k is None else int(k)
-        pos_d, neg_d = self.powers(xv)
-        pos_mult, neg_mult = self._store.mults
-        d = np.concatenate([np.repeat(pos_d, pos_mult), np.repeat(neg_d, neg_mult)])
+        d = _expand(self.powers(x), self._store.mults)
         points, labels = self.dataset.all_points()
         order = np.argsort(d, kind="stable")[:k]
         return points[order], labels[order]
-
-    # -- cache bookkeeping ----------------------------------------------
-
-    def cache_info(self) -> dict:
-        """``{hits, misses, size, radii_size, max_size}`` of the LRU caches.
-
-        ``hits`` counts both distance-vector and radii-memo hits (a
-        radii hit short-circuits before the distance cache is touched).
-        """
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "size": len(self._cache),
-            "radii_size": len(self._radii_cache),
-            "max_size": self._cache_size,
-        }
-
-    def cache_clear(self) -> None:
-        """Empty both caches and reset the hit/miss counters."""
-        self._cache.clear()
-        self._radii_cache.clear()
-        self._hits = 0
-        self._misses = 0
-
-    # -- pickling (process-pool sharding) --------------------------------
-
-    def __getstate__(self) -> dict:
-        """Pickle without caches (workers never share them)."""
-        state = self.__dict__.copy()
-        state["_cache"] = OrderedDict()
-        state["_radii_cache"] = OrderedDict()
-        state["_hits"] = 0
-        state["_misses"] = 0
-        return state
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

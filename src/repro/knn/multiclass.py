@@ -15,8 +15,8 @@ classification, sufficient reasons, and counterfactuals — either
 ``S+ = class t`` instead).  Since the multiclass engine landed it is a
 thin facade over one shared :class:`MultiClassEngine`: classification
 runs on the shared index, and each explanation call reuses the engine's
-lazily merged binary view (and its warm caches) instead of
-materializing a fresh merged dataset per call.
+lazily merged binary view instead of materializing a fresh merged
+dataset per call.
 """
 
 from __future__ import annotations

@@ -52,9 +52,12 @@ import numpy as np
 
 from ..exceptions import ValidationError
 from ..metrics import Metric, default_metric_name, get_metric
+from .engine import VOTES as VOTES  # re-exported: the serve layer imports it here
 from .engine import (
     _BLOCK_ELEMENTS,
     QueryEngine,
+    _check_vote,
+    _expand,
     _kth_smallest_with_multiplicity,
     _signed_margins,
     _top_need_batch,
@@ -63,10 +66,6 @@ from .engine import (
 )
 from .multiclass_data import MultiClassDataset
 from .store import LabeledStore, StoreBacked
-
-#: vote modes of :meth:`MultiClassEngine.classify_batch` (and the binary
-#: :meth:`QueryEngine.classify_batch <repro.knn.engine.QueryEngine.classify_batch>`).
-VOTES = ("uniform", "distance")
 
 
 class MultiClassEngine(StoreBacked):
@@ -82,9 +81,6 @@ class MultiClassEngine(StoreBacked):
         a :class:`~repro.metrics.Metric` or an alias accepted by
         :func:`~repro.metrics.get_metric` (default from
         :func:`~repro.metrics.default_metric_name`).
-    cache_size:
-        LRU budget handed to the lazily materialized merged binary
-        engines (:meth:`merged_engine`).
     backend:
         same strategies and constraints as the binary engine:
         ``"auto"`` | ``"dense"`` | ``"kdtree"`` | ``"bitpack"`` |
@@ -96,7 +92,6 @@ class MultiClassEngine(StoreBacked):
         dataset: MultiClassDataset,
         metric=None,
         *,
-        cache_size: int = 1024,
         backend: str = "auto",
     ):
         if not isinstance(dataset, MultiClassDataset):
@@ -105,7 +100,6 @@ class MultiClassEngine(StoreBacked):
             metric = default_metric_name(dataset.discrete)
         self.metric: Metric = get_metric(metric)
         self._store = LabeledStore(dataset, self.metric, backend)
-        self._cache_size = max(0, int(cache_size))
         self._merged_cache: dict[int, QueryEngine] = {}
 
     @property
@@ -162,10 +156,7 @@ class MultiClassEngine(StoreBacked):
         engine = self._merged_cache.get(c)
         if engine is None:
             engine = QueryEngine(
-                self.dataset.merged(c),
-                self.metric,
-                cache_size=self._cache_size,
-                backend=self._store.requested_backend,
+                self.dataset.merged(c), self.metric, backend=self._store.requested_backend
             )
             self._merged_cache[c] = engine
         return engine
@@ -326,16 +317,13 @@ class MultiClassEngine(StoreBacked):
             radii, _ = self.class_radii(xv, 1)
             return int(self._winners(radii[None, :] <= radii.min(), favor_j)[0])
         mults = self._store.mults
-        d = np.concatenate([np.repeat(p, m) for p, m in zip(self._class_powers(xv), mults)])
+        d = _expand(self._class_powers(xv), mults)
         tied = _vote_tied(d[None, :], [int(m.sum()) for m in mults], k, vote, self.metric)
         return int(self._winners(tied, favor_j)[0])
 
     def _check_classify(self, k: int, favor, vote: str) -> int | None:
         """Validate *k* and *vote*; returns the column of *favor* (or None)."""
-        if vote not in VOTES:
-            raise ValidationError(
-                f"vote must be one of {'|'.join(VOTES)}, got {vote!r}"
-            )
+        _check_vote(vote)
         self._store.need(k)
         return None if favor is None else self._class_index(favor)
 
@@ -358,25 +346,10 @@ class MultiClassEngine(StoreBacked):
         """
         xv = self._store.check_query(x)
         k = 1 if k is None else int(k)
-        d = np.concatenate(
-            [np.repeat(p, m) for p, m in zip(self._class_powers(xv), self._store.mults)]
-        )
+        d = _expand(self._class_powers(xv), self._store.mults)
         points, labels = self.dataset.all_points()
         order = np.argsort(d, kind="stable")[:k]
         return points[order], labels[order]
-
-    # -- cache bookkeeping -------------------------------------------------
-
-    def cache_info(self) -> dict:
-        """Cache statistics of the materialized merged binary engines."""
-        return {
-            "merged_engines": sorted(self._merged_cache),
-            "merged": {c: e.cache_info() for c, e in self._merged_cache.items()},
-        }
-
-    def cache_clear(self) -> None:
-        """Drop the merged-engine cache (they rebuild lazily on demand)."""
-        self._merged_cache.clear()
 
     # -- pickling ----------------------------------------------------------
 

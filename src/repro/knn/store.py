@@ -24,10 +24,9 @@ labels ascending for a :class:`~repro.knn.MultiClassDataset`.  It owns
 * the mutation protocol: validation once per batch, add/remove, the
   version counter and the lazily rebuilt dataset snapshot.
 
-The engines keep only their query semantics and their caches, which
-they reconcile against the :class:`Delta` each mutation returns; the
-:class:`StoreBacked` mixin gives both the surface that reads straight
-through to the store.
+The engines keep only their query semantics, and nothing per query;
+the :class:`StoreBacked` mixin gives both the surface that reads
+straight through to the store.
 
 Index backends (``backend=`` — the :mod:`repro.neighbors` layer)
 ----------------------------------------------------------------
@@ -56,13 +55,16 @@ paths are correspondingly backend-pluggable:
     anywhere (the ``million_point`` headline measures the win at 10^6
     points);
 ``"auto"``
-    bitpack for binary Hamming data, KD-tree for low-dimensional lp
-    over large datasets, dense otherwise (thresholds measured in
-    ``benchmarks/bench_ablation_nn_index.py`` and ``repro bench
-    --workloads kdtree_lowdim``).  IVF is *not*
-    auto-selected: whether its certificate holds often enough to win
-    depends on cluster structure the auto rule cannot see cheaply, and
-    on unclustered data every query would pay the fallback scan.
+    bitpack for binary Hamming data, KD-tree for lp at most 4
+    dimensions over at least 16,384 points, dense otherwise (thresholds
+    measured in ``benchmarks/bench_ablation_nn_index.py`` and ``repro
+    bench --workloads kdtree_lowdim``).  IVF is *not* auto-selected:
+    whether its certificate holds often enough to win depends on
+    cluster structure the auto rule cannot see cheaply, and on
+    unclustered data every query would pay the fallback scan.  This is
+    the engine's own rule; :func:`repro.neighbors.build_index` keeps the
+    standalone one (KD-tree from 64 points at up to 8 dimensions, IVF
+    from 65,536 points), which the engines never consult.
 
 Every backend implements the same optimistic semantics; on
 integer-valued data the results are bit-identical across backends (the
@@ -94,7 +96,6 @@ enforces this per backend, against the functional fold).
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import NamedTuple
 
 import numpy as np
 
@@ -119,21 +120,6 @@ _KDTREE_AUTO_MIN_POINTS = 16_384
 #: tombstone share of the bit-packed index's storage beyond which the
 #: store compacts it (reclaiming both memory and kernel columns).
 _BITPACK_COMPACT_FRACTION = 0.5
-
-
-class Delta(NamedTuple):
-    """What one applied mutation changed, per class label.
-
-    ``appended`` maps a label to the rows it gained (append order);
-    ``dead`` to the indices of the rows it lost (pre-removal numbering,
-    one entry per class after a removal, none after an addition);
-    ``touched`` to every row whose multiplicity moved.  Only labels the
-    mutation reached appear in ``appended`` and ``touched``.
-    """
-
-    appended: dict
-    dead: dict
-    touched: dict
 
 
 class LabeledStore:
@@ -311,11 +297,13 @@ class LabeledStore:
     def _auto_backend(self) -> str:
         """Pick the fastest exact backend for this ``(data, metric)``.
 
-        Mirrors :func:`repro.neighbors.build_index` adapted to the batch
-        setting: the bit-packed popcount index for binary Hamming data;
-        the KD-tree only where its Python-level traversal actually beats
-        one vectorized kernel pass (very low dimension, large dataset);
-        dense broadcast kernels otherwise.
+        The engine's batch-setting rule, separate from the standalone
+        :func:`repro.neighbors.build_index` one: the bit-packed popcount
+        index for binary Hamming data; the KD-tree only where its
+        Python-level traversal actually beats one vectorized kernel pass
+        (lp, at most :data:`_KDTREE_AUTO_MAX_DIM` dimensions, at least
+        :data:`_KDTREE_AUTO_MIN_POINTS` points); dense broadcast kernels
+        otherwise — never IVF.
         """
         from ..neighbors.bitpack import HAVE_BITWISE_COUNT
 
@@ -465,13 +453,12 @@ class LabeledStore:
         )
         return pts, lab, mult, removals
 
-    def add(self, points, labels, multiplicities=None) -> Delta:
+    def add(self, points, labels, multiplicities=None) -> None:
         """Validate and insert a batch in place; bumps :attr:`version`."""
         pts, lab, mult, _ = self.check(points, labels, multiplicities, op="add")
         if self._bit_index is not None and not is_binary(pts):
             self._degrade_bitpack_to_dense()
         appended: dict = {}
-        touched: dict = {}
         for row, m, c in zip(pts, mult.tolist(), lab.tolist()):
             if c not in self._rows:
                 self._new_class(c)
@@ -485,7 +472,6 @@ class LabeledStore:
                 mults.append(np.array([m], dtype=np.int64))
             else:
                 mults.assign(idx, int(mults.view[idx]) + m)
-            touched.setdefault(c, []).append(row)
             for index in (self._trees.get(c), self._ivfs.get(c)):
                 if index is not None:
                     index.add(row, m)
@@ -493,11 +479,10 @@ class LabeledStore:
         if self.backend == "ivf":
             # A class that was empty until this batch gets its index now.
             self._ensure_ivf()
-        new_rows = {}
         for c in self.classes:
             if c not in appended:
                 continue
-            new_rows[c] = rows = self._rows[c].view[appended[c]]
+            rows = self._rows[c].view[appended[c]]
             start = len(self._dense)
             self._dense.append(rows)
             slots = np.arange(start, start + rows.shape[0], dtype=np.int64)
@@ -507,7 +492,6 @@ class LabeledStore:
                 self._bit_cols[c] = np.concatenate([self._bit_cols[c], bit_slots])
         self._refresh_layout()
         self._bump()
-        return Delta(new_rows, {}, {c: np.vstack(r) for c, r in touched.items()})
 
     def _new_class(self, c) -> None:
         """Empty per-class state for a label seen for the first time."""
@@ -523,7 +507,7 @@ class LabeledStore:
             self._trees[c] = LazyKDTree(np.empty((0, self.dim)), self.metric)
         self.classes = tuple(sorted([*self.classes, c]))
 
-    def remove(self, points, labels, multiplicities=None) -> Delta:
+    def remove(self, points, labels, multiplicities=None) -> None:
         """Validate and remove a batch in place; bumps :attr:`version`.
 
         Rows whose multiplicity reaches zero are compacted out of the
@@ -532,11 +516,9 @@ class LabeledStore:
         emptied entirely disappears.
         """
         pts, lab, mult, removals = self.check(points, labels, multiplicities, op="remove")
-        touched: dict = {}
         for (c, idx), m in removals.items():
             mults = self._mults[c]
             mults.assign(idx, int(mults.view[idx]) - m)
-            touched.setdefault(c, []).append(np.array(self._rows[c].view[idx]))
         # Validation guaranteed each row exists in its class, so a class
         # index exists wherever the backend keeps one.
         for row, m, c in zip(pts, mult.tolist(), lab.tolist()):
@@ -577,7 +559,6 @@ class LabeledStore:
         self._refresh_views()
         self._refresh_layout()
         self._bump()
-        return Delta({}, dead, {c: np.vstack(r) for c, r in touched.items()})
 
     def _bump(self) -> None:
         """Invalidate the dataset snapshot and advance the version counter."""

@@ -4,8 +4,11 @@ The paper's experiments rely on a fast NN library (FAISS) for the inner
 loop of the Proposition 4 minimal-sufficient-reason algorithm.  This
 package provides the offline equivalents, and since the backend-pluggable
 :class:`~repro.knn.QueryEngine` it is no longer standalone ablation code:
-the engine routes its batch primitives through these indexes (selected by
-``backend=`` or the :func:`build_index` auto rule).
+the engine routes its batch primitives through these indexes, selected by
+``backend=`` or the engine's own auto rule (:mod:`repro.knn.store`: the
+KD-tree for lp at up to 4 dimensions and 16,384 points or more, never
+IVF).  :func:`build_index` is the standalone rule for direct use (the
+KD-tree at up to 8 dimensions from 64 points, IVF from 65,536 points).
 
 * :class:`BruteForceIndex` — vectorized exact search, any metric (the
   engine's ``"dense"`` backend);

@@ -696,12 +696,12 @@ class ExplanationService:
     def _engine_lock(self, fingerprint: str, metric_name: str) -> threading.Lock:
         """The mutex serializing work over one ``(dataset, metric)`` engine.
 
-        Solver pipelines drive the single-query entry points, which
-        mutate the engine's internal LRU caches; batch groups must not
-        interleave with a streaming mutation (a half-mutated engine
-        would tear the batch); and mutations take every engine lock of
-        the dataset before bumping the version.  All three funnel
-        through this lock.
+        Queries still change an engine's lazy index state (a KD-tree
+        rebuilds past its staleness threshold, IVF counters advance);
+        batch groups must not interleave with a streaming mutation (a
+        half-mutated engine would tear the batch); and mutations take
+        every engine lock of the dataset before bumping the version.
+        All three funnel through this lock.
         """
         with self._lock:
             return self._engine_locks.setdefault(
@@ -1062,8 +1062,8 @@ class ExplanationService:
         """Answer one solver-method request, reporting failures in-band.
 
         Runs under the group's engine lock (taken in
-        :meth:`_serve_group`), which serializes the solver pipelines'
-        single-query cache mutations and excludes streaming mutations.
+        :meth:`_serve_group`), which orders it against streaming
+        mutations and the engine's lazy index state.
         """
         try:
             return self._dispatch_solver(fingerprint, engine, method, params, x)

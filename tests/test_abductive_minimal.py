@@ -13,9 +13,46 @@ from repro.abductive import (
     minimal_sufficient_reason,
 )
 from repro.exceptions import ValidationError
-from repro.knn import Dataset
+from repro.knn import Dataset, QueryEngine
 
 from .helpers import random_continuous_dataset, random_discrete_dataset
+
+
+@pytest.mark.parametrize(
+    "metric,k", [("hamming", 1), ("l1", 1), ("hamming", 3), ("l2", 1)]
+)
+def test_greedy_classifies_x_once(rng, metric, k):
+    """Every Check-SR of one greedy call decides against one f(x).
+
+    Hamming k = 3 runs the brute checker; the others run Propositions
+    3, 4 and 6.  The subset checks classify candidates in batches only,
+    so the engine's single-query ``classify`` sees x once per call.
+    """
+    n = 6
+    if metric == "hamming":
+        data = random_discrete_dataset(rng, n, 4, 4)
+        x = rng.integers(0, 2, size=n).astype(float)
+    else:
+        data = random_continuous_dataset(rng, n, 4, 4)
+        x = rng.normal(size=n)
+    engine = QueryEngine(data, metric)
+    calls = []
+    classify = engine.classify
+
+    def counting(point, *args, **kwargs):
+        calls.append(np.array(point, dtype=float))
+        return classify(point, *args, **kwargs)
+
+    engine.classify = counting
+    X = minimal_sufficient_reason(data, k, metric, x, engine=engine)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(calls[0], x)
+    calls.clear()
+    assert is_minimal_sufficient_reason(data, k, metric, x, X, engine=engine)
+    assert len(calls) == 1
+    calls.clear()
+    minimal_sufficient_reason(data, k, metric, x, start=range(n), engine=engine)
+    assert len(calls) == 1
 
 
 class TestGreedy:

@@ -291,9 +291,8 @@ class TestEnginePickling:
         data = random_discrete_dataset(_rng(3), 5, 6, 6)
         engine = QueryEngine(data, "hamming", backend="bitpack")
         queries = _rng(4).integers(0, 2, size=(8, 5)).astype(float)
-        engine.classify(queries[0], 1)  # populate the cache
+        engine.classify(queries[0], 1)
         clone = pickle.loads(pickle.dumps(engine))
-        assert clone.cache_info()["size"] == 0
         assert clone.backend == "bitpack"
         np.testing.assert_array_equal(
             engine.classify_batch(queries, 3), clone.classify_batch(queries, 3)
@@ -337,8 +336,7 @@ class TestMapShards:
     def test_small_batches_stay_in_process(self):
         data, queries = _hamming_case(13, q=6)
         engine = QueryEngine(data, "hamming")
-        # 6 rows < min_shard_rows: the direct path runs (and still uses
-        # this process's cache bookkeeping, observable via cache_info).
+        # 6 rows < min_shard_rows: the direct path runs in this process.
         out = engine.map_shards("margins_batch", queries, 1, workers=4)
         np.testing.assert_array_equal(out, engine.margins_batch(queries, 1))
 

@@ -403,6 +403,56 @@ def test_old_layout_warm_engine_restores_cold(rng, data, tmp_path, monkeypatch):
     revived.close()
 
 
+def test_engine_pickled_with_query_caches_restores_warm(rng, data, tmp_path, monkeypatch):
+    """A snapshot engine that still carries per-query cache state loads warm.
+
+    Engines once kept an LRU of per-query distance vectors and radii;
+    their pickles carried ``_cache`` and ``_radii_cache`` (emptied),
+    ``_cache_size``, ``_hits`` and ``_misses`` beside the labeled store.
+    A ``--state-dir`` written then must still adopt its engine warm and
+    answer like a service that never crashed.
+    """
+    import pickle
+    from collections import OrderedDict
+
+    from repro.knn import QueryEngine
+
+    state = tmp_path / "state"
+    batches = _batches(rng, 2)
+    service = ExplanationService(state_dir=state, snapshot_every=2)
+    fp = service.add_dataset(data)
+    service.submit(fp, "classify", rng.normal(size=4), k=3)  # warms an engine
+    for points, labels in batches:
+        service.add_points(fp, points, labels)  # snapshot lands at v2
+    current = service.dataset(fp)
+    engine = QueryEngine(current, "l2")
+    cached_state = {
+        **engine.__dict__,
+        "_cache": OrderedDict(),
+        "_radii_cache": OrderedDict(),
+        "_cache_size": 1024,
+        "_hits": 0,
+        "_misses": 0,
+    }
+    with monkeypatch.context() as patch:
+        patch.setattr(QueryEngine, "__getstate__", lambda self: cached_state)
+        blob = pickle.dumps(engine)
+    service.durability.snapshot(fp, current, 2, {"l2": blob})
+    service.close()
+
+    revived = ExplanationService(state_dir=state)
+    assert revived.stats()["engines"] == 1  # adopted warm
+    reference = ExplanationService()
+    reference.add_dataset(data)
+    for points, labels in batches:
+        reference.add_points(fp, points, labels)
+    for x in rng.normal(size=(4, 4)):
+        for method, k in (("classify", 3), ("margin", 3), ("minimal_sr", 1)):
+            got = revived.submit(fp, method, x, k=k).payload
+            assert got == reference.submit(fp, method, x, k=k).payload
+    revived.close()
+
+
 def test_service_mutation_is_on_disk_before_ack(rng, data, tmp_path):
     service = ExplanationService(state_dir=tmp_path, snapshot_every=0)
     fp = service.add_dataset(data)

@@ -15,6 +15,8 @@ datasets with multiplicities:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.knn import Dataset, KNNClassifier, QueryEngine
+from repro.knn.reference import classify_weighted_by_definition
 from repro.metrics import get_metric
 
 from .helpers import random_continuous_dataset, random_discrete_dataset
@@ -204,24 +207,6 @@ class TestBatchAgainstOracles:
 
 
 class TestEngineCacheAndSharing:
-    def test_cache_hits_on_repeated_queries(self):
-        data = Dataset([[0.0, 0.0], [1.0, 1.0]], [[3.0, 3.0]])
-        engine = QueryEngine(data, "l2")
-        x = [0.2, 0.4]
-        engine.classify(x, 1)
-        engine.margin(x, 1)
-        engine.radii(x, 1)
-        info = engine.cache_info()
-        assert info["misses"] == 1
-        assert info["hits"] == 2
-
-    def test_cache_eviction_respects_size(self):
-        data = Dataset([[0.0]], [[1.0]])
-        engine = QueryEngine(data, "l2", cache_size=2)
-        for v in (0.1, 0.2, 0.3, 0.4):
-            engine.classify([v], 1)
-        assert engine.cache_info()["size"] == 2
-
     def test_classifier_shares_engine(self):
         data = Dataset([[0.0, 0.0], [1.0, 1.0]], [[3.0, 3.0]])
         engine = QueryEngine(data, "l2")
@@ -230,8 +215,7 @@ class TestEngineCacheAndSharing:
         assert clf1.engine is engine and clf3.engine is engine
         x = [0.5, 0.5]
         clf1.classify(x)
-        clf3.classify(x)  # same distance vector, different k
-        assert engine.cache_info()["hits"] == 1
+        clf3.classify(x)
 
     def test_mismatched_engine_rejected(self):
         data = Dataset([[0.0, 0.0], [1.0, 1.0]], [[3.0, 3.0]])
@@ -242,12 +226,49 @@ class TestEngineCacheAndSharing:
         with pytest.raises(ValidationError):
             KNNClassifier(data, k=1, metric="l1", engine=engine)
 
-    def test_cached_vectors_are_read_only(self):
-        data = Dataset([[0.0, 0.0], [1.0, 1.0]], [[3.0, 3.0]])
+
+class TestSingleQueryPaths:
+    def test_distance_vote_keeps_an_exact_tie(self):
+        # Both row-wise powers are 1.01; the Gram batch kernel reads
+        # 1.0099999999999998 for S-, which would hand the vote to S-.
+        data = Dataset([[0.0, 0.0]], [[2.0, 0.0]])
         engine = QueryEngine(data, "l2")
-        pos_d, _ = engine.powers([0.5, 0.5])
-        with pytest.raises(ValueError):
-            pos_d[0] = -1.0
+        x = [1.0, 0.1]
+        assert classify_weighted_by_definition(data, 1, "l2", x) == 1
+        assert engine.classify(x, 1, vote="distance") == 1
+        assert engine.classify(x, 1) == 1
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_distance_vote_matches_reference_on_a_grid(self, k):
+        # A 0.1-spaced grid puts many queries on exact distance ties.
+        rng = _rng(0)
+        for _ in range(100):
+            grid = rng.integers(0, 21, size=(6, 2)) / 10
+            data = Dataset(grid[:3], grid[3:])
+            engine = QueryEngine(data, "l2")
+            for x in rng.integers(0, 21, size=(30, 2)) / 10:
+                want = classify_weighted_by_definition(data, k, "l2", x)
+                assert engine.classify(x, k, vote="distance") == want
+
+    def test_engine_keeps_no_per_query_memory(self):
+        rng = _rng(0)
+        data = Dataset(
+            rng.integers(0, 2, size=(1000, 32)).astype(float),
+            rng.integers(0, 2, size=(1000, 32)).astype(float),
+        )
+        engine = QueryEngine(data, "hamming")
+        queries = np.unique(rng.integers(0, 2, size=(512, 32)), axis=0).astype(float)
+        assert queries.shape[0] == 512
+        engine.classify(queries[0], 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for x in queries:
+                engine.classify(x, 1)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1 << 20
 
 
 class TestWarningSatellite:

@@ -419,10 +419,9 @@ def test_insert_then_remove_identity_on_existing_row(rng, backend):
 def test_removal_outside_neighborhood_changes_nothing(rng, backend):
     """Removing a point beyond a query's k-neighborhood leaves its answer.
 
-    This is the metamorphic face of the targeted cache invalidation:
-    the answers are *cached* before the removal, and the far point's
-    power exceeds both cached radii, so the engine must keep serving
-    the identical (still-valid) cached radii afterwards.
+    The far point's power exceeds both radii, and Proposition 1's radii
+    are k-th order statistics, so the engine must answer with the
+    identical radii afterwards.
     """
     rng_local = np.random.default_rng(7)
     for trial in range(20):
@@ -433,7 +432,7 @@ def test_removal_outside_neighborhood_changes_nothing(rng, backend):
         engine = QueryEngine(data, "hamming", backend=backend)
         x = rng_local.integers(0, 2, size=n).astype(float)
         k = 3
-        r_pos, r_neg = engine.radii(x, k)  # primes both caches
+        r_pos, r_neg = engine.radii(x, k)
         label, margin = engine.classify(x, k), engine.margin(x, k)
         ball = max(r_pos, r_neg)
         far = [
@@ -448,19 +447,17 @@ def test_removal_outside_neighborhood_changes_nothing(rng, backend):
         assert engine.radii(x, k) == (r_pos, r_neg)
         assert engine.classify(x, k) == label
         assert engine.margin(x, k) == margin
-        # ... and the cached entry survived (it was never invalidated).
-        assert engine.cache_info()["radii_size"] >= 1
         fresh = QueryEngine(engine.dataset, "hamming", backend=backend)
         assert fresh.radii(x, k) == (r_pos, r_neg)
 
 
 def test_targeted_invalidation_evicts_inside_ball(rng, backend):
-    """The converse: a point landing inside the ball refreshes the radii."""
+    """The converse: a point landing inside the ball moves the radii."""
     data, engine = _random_engine(rng, backend)
     x = _random_points(rng, 1, 5, "hamming")[0]
     engine.radii(x, 3)
     # Insert k copies of the query point itself: distance 0, inside any
-    # finite ball — the cached radii must be evicted and recomputed.
+    # finite ball — the radii after the insert must see it.
     engine.add_points([x], [1], [3])
     fresh = QueryEngine(engine.dataset, "hamming", backend=backend)
     assert engine.radii(x, 3) == fresh.radii(x, 3)
@@ -540,16 +537,13 @@ def test_dataset_functional_mutation_validation():
 
 
 def test_distance_cache_is_extended_not_flushed(rng):
-    """Inserts extend cached distance vectors instead of dropping them."""
+    """A query's distance vectors after an insert equal a fresh engine's."""
     data, engine = _random_engine(rng, "dense")
     x = _random_points(rng, 1, 5, "hamming")[0]
     engine.powers(x)
-    assert engine.cache_info()["size"] == 1
     points = _random_points(rng, 3, 5, "hamming")
     engine.add_points(points, [1, 0, 1])
-    assert engine.cache_info()["size"] == 1  # still cached, not flushed
-    pos_d, neg_d = engine.powers(x)  # served from cache (extended)
-    assert engine.cache_info()["hits"] == 1
+    pos_d, neg_d = engine.powers(x)
     fresh = QueryEngine(engine.dataset, "hamming")
     fresh_pos, fresh_neg = fresh.powers(x)
     np.testing.assert_array_equal(pos_d, fresh_pos)
